@@ -195,11 +195,18 @@ def step_projection(measure: MeasureOracle, S: SubsetState, rng,
 
 
 class _CachedDppOracle(MeasureOracle):
-    """Per-chain wrapper routing ratio calls through an incremental Cholesky cache."""
+    """Per-chain wrapper that reads ratios from the cache's maintained inverse
+    of L_S; the cache forms a Cholesky factor only when it rebuilds.
 
-    def __init__(self, measure: LEnsemble, S: SubsetState):
+    An accepted move that leaves the cache flagged (its rebuild found L_S
+    numerically singular) raises ``ArithmeticError`` naming the stream, so
+    the chain does not run on with zero ratios.
+    """
+
+    def __init__(self, measure: LEnsemble, S: SubsetState, stream):
         self.measure = measure
         self.n = measure.n
+        self.stream = stream
         self.cache = measure.make_cache(S)
 
     def log_weight(self, S):
@@ -225,6 +232,10 @@ class _CachedDppOracle(MeasureOracle):
             self.cache.apply_delete(outcome.s)
         else:
             self.cache.apply_swap(outcome.s, outcome.t)
+        if self.cache.flagged:
+            raise ArithmeticError(
+                f"stream {self.stream}: DPP cache flagged after an accepted "
+                f"{outcome.kind}; the rebuild found L_S numerically singular")
 
 
 def initial_state(measure: MeasureOracle, spec: ChainSpec, rng) -> SubsetState:
@@ -265,7 +276,7 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0,
     oracle = measure
     cached = None
     if isinstance(measure, LEnsemble):
-        cached = _CachedDppOracle(measure, S)
+        cached = _CachedDppOracle(measure, S, stream)
         oracle = cached
 
     if spec.kind == "add-delete":

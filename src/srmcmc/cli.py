@@ -424,12 +424,9 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as e:
-        # Distinguish kernel/numeric validation from config problems.
-        if isinstance(e, (dpp.KernelValidationError, ArithmeticError)):
-            print(f"error: {e}", file=sys.stderr)
-            return 2
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        # Kernel validation is a numeric failure, not a config problem.
+        return 2 if isinstance(e, dpp.KernelValidationError) else 1
     except (ArithmeticError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

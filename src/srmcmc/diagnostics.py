@@ -65,17 +65,31 @@ def extract_summary(transcripts, statistic):
 
 
 def psrf_curve(series, stride=None):
-    """(prefix length, R-hat) pairs at stride multiples over growing prefixes."""
+    """(prefix length, R-hat) pairs at stride multiples over growing prefixes.
+
+    Equal to :func:`psrf` on every prefix, computed in one pass from per-chain
+    cumulative sums of x - x[:, :1], so that a constant prefix has W = 0
+    exactly and gets the same 1.0 / inf sentinels.
+    """
     x = np.asarray(series, dtype=float)
-    n = x.shape[1]
+    m, n = x.shape
+    if m < 2:
+        raise ValueError("need at least 2 chains")
     if stride is None:
         stride = max(1, n // 200)
-    points = []
-    for stop in range(stride, n + 1, stride):
-        if stop < 2:
-            continue
-        points.append((stop, psrf(x[:, :stop])))
-    return points
+    stops = np.arange(stride, n + 1, stride)
+    stops = stops[stops >= 2]
+    y = x - x[:, :1]
+    s1 = np.cumsum(y, axis=1)[:, stops - 1]
+    s2 = np.cumsum(y * y, axis=1)[:, stops - 1]
+    means = s1 / stops
+    W = np.maximum(s2 - s1 * means, 0.0).mean(axis=0) / (stops - 1)
+    B = stops * (x[:, :1] - x[:1, :1] + means).var(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(((stops - 1) / stops * W + B / stops) / W)
+    r = np.where(W < DEGENERATE_VAR,
+                 np.where(B < DEGENERATE_VAR, 1.0, math.inf), r)
+    return [(int(stop), float(v)) for stop, v in zip(stops, r)]
 
 
 def iterations_to_threshold(transcripts, statistic, threshold=DEFAULT_THRESHOLD,

@@ -3,14 +3,16 @@
 An L-ensemble assigns unnormalized weight pi(S) = det(L_S) to each subset S,
 with pi(empty) = 1. The marginal kernel K = L(I+L)^{-1} gives inclusion
 probabilities Pr(S subset T) = det(K_S). Acceptance ratios for the chains are
-Schur complements, maintained incrementally by :class:`CholeskyCache`.
+Schur complements, read in closed form from the inverse of L_S that
+:class:`CholeskyCache` maintains incrementally; it factors L_S by Cholesky
+only when it rebuilds.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .measures import NEG_INF, MeasureOracle, SubsetState
 
@@ -68,7 +70,7 @@ class LEnsemble(MeasureOracle):
         return dpp_log_weight(self.L, S)
 
     def make_cache(self, S: SubsetState) -> "CholeskyCache":
-        """Fresh per-chain incremental factor for the current state."""
+        """Fresh per-chain incremental inverse of L_S for the current state."""
         return CholeskyCache(self.L, S.indices())
 
 
@@ -113,12 +115,20 @@ def l_to_marginal(L) -> np.ndarray:
 
 
 class CholeskyCache:
-    """Incrementally maintained Cholesky factor of L_S for one chain.
+    """Incrementally maintained inverse of L_S for one chain.
 
-    Keeps the active index order, the lower-triangular factor of L_S in that
-    order, and the running log-determinant. Rebuilds from scratch every
-    ``REBUILD_INTERVAL`` accepted moves or on a tiny pivot. A failed rebuild
-    flags the cache; a flagged cache reports -inf weight and zero ratios.
+    Keeps the active elements in the index array ``order``, the inverse
+    ``inv = (L_S)^{-1}`` in that order, and the running log-determinant. Every
+    ratio is a Schur complement read from ``inv`` with no solve (Kang 2013):
+    with p the position of s and c = L[order, t], deleting s scales det(L_S)
+    by inv[p, p], adding t by the pivot L_tt - c^T inv c, and swapping s for t
+    by inv[p, p] (L_tt - c^T inv c) + (inv c)_p^2. Accepted moves update
+    ``inv`` by rank-1 block-inverse formulas; a delete moves the last element
+    into the freed position. A Cholesky factor of L_S is formed only at a
+    rebuild: every ``REBUILD_INTERVAL`` accepted moves, or when an add pivot
+    or a deleted inv[p, p] falls below ``PIVOT_TOL``. A failed rebuild flags
+    the cache; a flagged cache reports -inf weight and zero ratios until an
+    applied move rebuilds it.
     """
 
     REBUILD_INTERVAL = 512
@@ -126,157 +136,128 @@ class CholeskyCache:
 
     def __init__(self, L, indices=()):
         self.L = np.asarray(getattr(L, "L", L), dtype=float)
-        self.order = [int(i) for i in indices]
-        self.flagged = False
-        self._accepted = 0
-        self._pending_add = None
+        self._idx = np.empty(self.L.shape[0], dtype=np.intp)
+        self._pos = {}
+        self.size = 0
+        self.order = self._idx[:0]
+        for i in indices:
+            self._push(int(i))
         self._rebuild()
 
-    @property
-    def size(self):
-        return len(self.order)
+    def _push(self, t):
+        self._pending_add = None
+        self._pos[t] = self.size
+        self._idx[self.size] = t
+        self.size += 1
+        self.order = self._idx[:self.size]
 
-    def state(self) -> SubsetState:
-        return SubsetState.from_indices(self.order, self.L.shape[0])
-
-    def copy(self):
-        new = object.__new__(CholeskyCache)
-        new.L = self.L
-        new.order = list(self.order)
-        new.chol = self.chol.copy()
-        new.log_det = self.log_det
-        new.flagged = self.flagged
-        new._accepted = self._accepted
-        new._pending_add = None
-        return new
+    def _pop(self, s):
+        """Drop s from the order, move the last element into its position
+        and return that position."""
+        self._pending_add = None
+        p = self._pos.pop(s)
+        self.size -= 1
+        if p != self.size:
+            last = int(self._idx[self.size])
+            self._idx[p] = last
+            self._pos[last] = p
+        self.order = self._idx[:self.size]
+        return p
 
     def _rebuild(self):
         self._accepted = 0
         self._pending_add = None
-        k = len(self.order)
-        if k == 0:
-            self.chol = np.zeros((0, 0))
-            self.log_det = 0.0
-            self.flagged = False
-            return
-        sub = self.L[np.ix_(self.order, self.order)]
-        try:
-            self.chol = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError:
-            self.chol = np.zeros((0, 0))
-            self.log_det = NEG_INF
-            self.flagged = True
-            return
+        self.inv = np.zeros((0, 0))
+        self.log_det = 0.0
         self.flagged = False
-        self._refresh_log_det()
-
-    def _refresh_log_det(self):
-        d = np.diag(self.chol)
-        if d.size and np.any(d <= 0.0):
+        if self.size == 0:
+            return
+        try:
+            chol = np.linalg.cholesky(self.L[np.ix_(self.order, self.order)])
+        except np.linalg.LinAlgError:
             self.log_det = NEG_INF
             self.flagged = True
-        else:
-            self.log_det = float(2.0 * np.sum(np.log(d))) if d.size else 0.0
+            return
+        chol_inv = dtrtri(chol, lower=1)[0]
+        self.inv = chol_inv.T @ chol_inv
+        self.log_det = float(2.0 * np.sum(np.log(np.diag(chol))))
 
     def add_ratio(self, t) -> float:
-        """det(L_{S+t}) / det(L_S): the Schur complement pivot for element t."""
+        """det(L_{S+t}) / det(L_S) = L_tt - c^T inv c, the Schur complement pivot."""
         if self.flagged:
             return 0.0
-        t = int(t)
-        if t in self.order:
+        if t in self._pos:
             raise ValueError(f"element {t} already active")
-        k = self.size
-        if k == 0:
-            pivot = float(self.L[t, t])
-            w = np.zeros(0)
-        else:
-            c = self.L[self.order, t]
-            w = solve_triangular(self.chol, c, lower=True, check_finite=False)
-            pivot = float(self.L[t, t] - w @ w)
+        c = self.L[t][self.order]
+        w = self.inv.dot(c)
+        pivot = float(self.L[t, t] - c.dot(w))
         self._pending_add = (t, w, pivot)
         return pivot if pivot > 0.0 else 0.0
 
     def delete_ratio(self, s) -> float:
-        """det(L_{S-s}) / det(L_S) = [(L_S)^{-1}]_pp via one triangular solve."""
+        """det(L_{S-s}) / det(L_S) = inv[p, p]."""
         if self.flagged:
             return 0.0
-        p = self.order.index(int(s))
-        e = np.zeros(self.size)
-        e[p] = 1.0
-        x = solve_triangular(self.chol, e, lower=True, check_finite=False)
-        return float(x @ x)
+        p = self._pos[s]
+        return float(self.inv[p, p])
 
     def swap_ratio(self, s, t) -> float:
-        """det(L_{S-s+t}) / det(L_S), composed as delete-then-add on a scratch copy."""
+        """det(L_{S-s+t}) / det(L_S) = inv[p, p] (L_tt - c^T inv c) + (inv c)_p^2."""
         if self.flagged:
             return 0.0
-        r_del = self.delete_ratio(s)
-        scratch = self.copy()
-        scratch.apply_delete(s)
-        if scratch.flagged:
-            return 0.0
-        return r_del * scratch.add_ratio(t)
+        p = self._pos[s]
+        c = self.L[t][self.order]
+        w = self.inv.dot(c)
+        r = float(self.inv[p, p] * (self.L[t, t] - c.dot(w)) + w[p] * w[p])
+        return r if r > 0.0 else 0.0
 
     def apply_add(self, t):
         t = int(t)
-        if self._pending_add is not None and self._pending_add[0] == t:
-            _, w, pivot = self._pending_add
-        else:
+        pending = self._pending_add
+        if pending is None or pending[0] != t:
             self.add_ratio(t)
-            _, w, pivot = self._pending_add
-        self._pending_add = None
-        if pivot < self.PIVOT_TOL:
-            self.order.append(t)
+            pending = self._pending_add
+        k = self.size
+        self._push(t)
+        if self.flagged or pending[2] < self.PIVOT_TOL:
             self._rebuild()
             return
-        k = self.size
-        new = np.zeros((k + 1, k + 1))
-        new[:k, :k] = self.chol
-        new[k, :k] = w
-        new[k, k] = math.sqrt(pivot)
-        self.chol = new
-        self.order.append(t)
+        _, w, pivot = pending
+        g = w / pivot
+        inv = np.empty((k + 1, k + 1))
+        inv[:k, :k] = self.inv + np.dot(w[:, None], g[None, :])
+        inv[k, :k] = inv[:k, k] = -g
+        inv[k, k] = 1.0 / pivot
+        self.inv = inv
+        self.log_det += math.log(pivot)
         self._bump()
 
     def apply_delete(self, s):
-        p = self.order.index(int(s))
         k = self.size
-        self.order.pop(p)
-        self._pending_add = None
-        if p == k - 1:
-            self.chol = np.ascontiguousarray(self.chol[:p, :p])
-            self._bump()
+        p = self._pop(int(s))
+        # Emptying the set rebuilds, so the empty set's log_det is exactly 0.
+        kp = 0.0 if self.flagged or k == 1 else self.inv[p, p]
+        if kp < self.PIVOT_TOL:
+            self._rebuild()
             return
-        # Rows below p keep columns < p; column p folds into the trailing
-        # block by re-triangularizing [e | F] with an LQ step.
-        e = self.chol[p + 1:, p]
-        F = self.chol[p + 1:, p + 1:]
-        A = np.column_stack([e, F])
-        R = np.linalg.qr(A.T, mode="r")
-        signs = np.sign(np.diag(R))
-        signs[signs == 0.0] = 1.0
-        T = (R * signs[:, None]).T
-        m = k - 1
-        new = np.zeros((m, m))
-        new[:p, :p] = self.chol[:p, :p]
-        new[p:, :p] = self.chol[p + 1:, :p]
-        new[p:, p:] = T
-        self.chol = new
+        inv = self.inv
+        inv -= np.dot(inv[p, :, None], inv[None, p] / kp)
+        q = k - 1
+        if p != q:
+            inv[p] = inv[q]
+            inv[:, p] = inv[:, q]
+        self.inv = inv[:q, :q].copy()
+        self.log_det += math.log(kp)
         self._bump()
 
     def apply_swap(self, s, t):
         self.apply_delete(s)
-        if not self.flagged:
-            self.apply_add(t)
+        self.apply_add(t)
 
     def _bump(self):
         self._accepted += 1
         if self._accepted >= self.REBUILD_INTERVAL:
             self._rebuild()
-        else:
-            self._refresh_log_det()
-            if self.flagged:
-                self._rebuild()
 
 
 class SpectralSampler:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from srmcmc import (CardinalityConditionedMeasure, LEnsemble, ProductMeasure,
-                    TableMeasure)
+from srmcmc import (CardinalityConditionedMeasure, CholeskyCache, LEnsemble,
+                    ProductMeasure, TableMeasure)
 
 Q_PATTERN = [0.3, 0.8, 0.5, 0.6, 0.4, 0.7, 0.55, 0.35]
 DIAG_PATTERN = [2.0, 3.0, 1.5, 0.7, 2.5, 0.9, 1.2, 3.5]
@@ -40,6 +40,21 @@ def fixture_suite(n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def singular_add_kernel(monkeypatch):
+    """Rank-deficient kernel whose element 3 has a zero row, so it lies in
+    the span of every S and L_{S+3} is exactly singular. The DPP cache's add
+    ratio is forced to 1 for element 3, so a chain accepts that add."""
+    original = CholeskyCache.add_ratio
+
+    def forced(self, t):
+        r = original(self, t)
+        return 1.0 if t == 3 else r
+
+    monkeypatch.setattr(CholeskyCache, "add_ratio", forced)
+    return np.diag([1.0, 2.0, 3.0, 0.0])
 
 
 def uniform_table(n):

@@ -9,9 +9,9 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     exchange_bound, run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
 from srmcmc.chains import initial_state, projection_branch_widths
-from srmcmc.measures import log_binomial
+from srmcmc.measures import MeasureOracle, log_binomial
 
-from conftest import uniform_table
+from conftest import random_psd_fixture, uniform_table
 
 
 def S(indices, n):
@@ -207,6 +207,37 @@ class TestRunChain:
         st = initial_state(m, ChainSpec("add-delete", steps=1, seed=0),
                            chain_rng(0))
         assert list(st.indices()) == [1]
+
+
+class _PlainOracle(MeasureOracle):
+    """An L-ensemble's log weight behind the generic two-evaluation ratios."""
+
+    def __init__(self, measure):
+        self.measure = measure
+        self.n = measure.n
+
+    def log_weight(self, S):
+        return self.measure.log_weight(S)
+
+
+class TestCachedDppPath:
+    @pytest.mark.parametrize("kind", ["add-delete", "projection"])
+    def test_cache_matches_generic_ratios(self, kind):
+        m = random_psd_fixture(12)
+        spec = ChainSpec(kind, steps=5000, thin=5, seed=31,
+                         init="random-positive")
+        cached = run_chain(m, spec)
+        generic = run_chain(_PlainOracle(m), spec)
+        assert cached.states == generic.states
+        assert len({len(s) for s in cached.states}) > 3
+        np.testing.assert_allclose(cached.log_weights, generic.log_weights,
+                                   rtol=1e-9)
+
+    def test_flagged_cache_raises_naming_stream(self, singular_add_kernel):
+        m = LEnsemble(singular_add_kernel)
+        with pytest.raises(ArithmeticError, match="stream 3"):
+            run_chain(m, ChainSpec("add-delete", steps=1000, seed=0),
+                      stream=3)
 
 
 class TestBounds:

@@ -222,6 +222,18 @@ class TestCompare:
         assert len(curves) > 1
 
 
+def test_flagged_dpp_cache_exits_2(tmp_path, singular_add_kernel, capsys):
+    kernel = tmp_path / "L.csv"
+    write_kernel_csv(kernel, singular_add_kernel)
+    cfg = write_config(tmp_path, {
+        "measure": {"kind": "dpp-L", "kernel_path": str(kernel)},
+        "chain": {"kind": "add-delete", "steps": 1000, "seed": 0},
+    })
+    assert main(["sample", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "stream 0: DPP cache flagged" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["exact", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

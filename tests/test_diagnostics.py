@@ -135,6 +135,26 @@ class TestIterationsToThreshold:
         assert stops[0] == 5 and stops[-1] == 1000
         assert all(b - a == 5 for a, b in zip(stops, stops[1:]))
 
+    @pytest.mark.parametrize("prefix", ["none", "identical", "disjoint"])
+    def test_curve_matches_psrf_on_every_prefix(self, prefix):
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 5, size=(4, 300)).astype(float)
+        x[:, 150:] += rng.standard_normal((4, 150))
+        if prefix == "identical":
+            x[:, :20] = 3.0
+        elif prefix == "disjoint":
+            x[:, :20] = np.arange(4.0)[:, None]
+        pts = psrf_curve(x, stride=1)
+        assert [stop for stop, _ in pts] == list(range(2, 301))
+        for stop, r in pts:
+            want = psrf(x[:, :stop])
+            if prefix != "none" and stop <= 20:
+                assert r == want
+            else:
+                assert r == pytest.approx(want, rel=1e-12)
+        if prefix != "none":
+            assert pts[0][1] == (1.0 if prefix == "identical" else math.inf)
+
 
 class TestEmpiricalMarginals:
     def test_constant_transcript_exact(self):

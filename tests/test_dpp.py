@@ -96,25 +96,29 @@ class TestSchurRatios:
 
     def test_exhaustive_sweep_matches_naive(self):
         rng = np.random.default_rng(11)
-        A = rng.standard_normal((6, 6))
-        m = LEnsemble(A @ A.T / 6)
         n = 6
-        for mask in range(1 << n):
-            st = SubsetState.from_bitmask(mask, n)
-            if m.log_weight(st) == NEG_INF:
-                continue
-            cache = m.make_cache(st)
-            inside = [int(i) for i in st.indices()]
-            outside = [t for t in range(n) if not st.contains(t)]
-            for t in outside:
-                assert cache.add_ratio(t) == \
-                    pytest.approx(m.add_ratio(st, t), rel=1e-8)
-            for s_el in inside:
-                assert cache.delete_ratio(s_el) == \
-                    pytest.approx(m.delete_ratio(st, s_el), rel=1e-8)
+        # Full rank, then L = X X^T with X 6 x 3: there every S+t with
+        # |S| = 3 is singular (pivot ~ 0) while S-s+t is not, so the swap
+        # ratio rests on its (inv c)_p^2 term.
+        for rank in (6, 3):
+            X = rng.standard_normal((n, rank))
+            m = LEnsemble(X @ X.T / rank)
+            for mask in range(1 << n):
+                st = SubsetState.from_bitmask(mask, n)
+                if st.cardinality > rank or m.log_weight(st) == NEG_INF:
+                    continue
+                cache = m.make_cache(st)
+                inside = [int(i) for i in st.indices()]
+                outside = [t for t in range(n) if not st.contains(t)]
                 for t in outside:
-                    assert cache.swap_ratio(s_el, t) == \
-                        pytest.approx(m.swap_ratio(st, s_el, t), rel=1e-8)
+                    assert cache.add_ratio(t) == \
+                        pytest.approx(m.add_ratio(st, t), rel=1e-8)
+                for s_el in inside:
+                    assert cache.delete_ratio(s_el) == \
+                        pytest.approx(m.delete_ratio(st, s_el), rel=1e-8)
+                    for t in outside:
+                        assert cache.swap_ratio(s_el, t) == \
+                            pytest.approx(m.swap_ratio(st, s_el, t), rel=1e-8)
 
 
 class TestCholeskyCache:
@@ -131,7 +135,17 @@ class TestCholeskyCache:
     def test_empty_cache(self):
         cache = LEnsemble(np.eye(3)).make_cache(S([], 3))
         assert cache.log_det == 0.0
-        assert cache.chol.shape == (0, 0)
+        assert cache.inv.shape == (0, 0)
+
+    def test_singular_add_flags_cache(self):
+        # Element 3 has a zero row: it lies in the span of every S, so
+        # L_{S+3} is exactly singular and the rebuild after the add fails.
+        cache = LEnsemble(np.diag([1.0, 2.0, 3.0, 0.0])).make_cache(
+            S([0, 2], 4))
+        assert cache.add_ratio(3) == 0.0
+        cache.apply_add(3)
+        assert cache.flagged and cache.log_det == NEG_INF
+        assert cache.add_ratio(1) == 0.0 and cache.delete_ratio(0) == 0.0
 
     def test_long_random_walk_drift(self):
         rng = np.random.default_rng(9)
