@@ -7,11 +7,11 @@ diagnostics.
 
 from .measures import (CardinalityConditionedMeasure, MeasureOracle,
                        ProductMeasure, SubsetState, SymmetricHomogenization,
-                       TableMeasure, symmetric_homogenization)
+                       TableMeasure)
 from .dpp import (CholeskyCache, KernelValidationError, LEnsemble,
-                  SpectralSampler, dpp_log_weight,
-                  l_to_marginal, marginal_to_l, rbf_kernel, spectral_sample,
-                  spectrum_step_kernel, validate_marginal_kernel)
+                  SpectralSampler, dpp_log_weight, l_to_marginal,
+                  marginal_to_l, rbf_kernel, spectrum_step_kernel,
+                  validate_marginal_kernel)
 from .chains import (ChainSpec, MoveOutcome, Transcript, chain_rng,
                      exchange_bound, run_chain, run_chains, step_add_delete,
                      step_exchange, step_projection, theorem_bound)

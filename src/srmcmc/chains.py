@@ -10,16 +10,23 @@ symmetric homogenization gives the reciprocal (N - |S| + 1) / |S|, and only
 the latter leaves the target measure stationary (see the exact-verification
 tests). The corrected factor is the default; the literal variant stays
 available behind ``paper_literal_delete`` for demonstration.
+
+Every step is one Metropolis move: a stepper draws a proposal and its ratio
+from the oracle, and :func:`_metropolis` accepts it with probability
+min(1, ratio). :func:`run_chain` asks the measure for its per-chain oracle
+(``MeasureOracle.chain_oracle``) and hands it every outcome (``apply``), so a
+measure with incremental per-chain state, such as an L-ensemble's inverse
+cache, keeps it in step without the chain loop knowing which measure it runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .dpp import LEnsemble
 from .measures import NEG_INF, MeasureOracle, SubsetState, log_binomial
 
 CHAIN_KINDS = ("add-delete", "exchange", "projection")
@@ -76,7 +83,7 @@ class Transcript:
         return len(self.steps)
 
     def cardinalities(self):
-        return np.array([len(s) for s in self.states], dtype=float)
+        return np.fromiter(map(len, self.states), float, len(self.states))
 
     def indicator(self, i):
         return np.array([1.0 if i in s else 0.0 for s in self.states])
@@ -89,6 +96,21 @@ def chain_rng(seed, stream=0):
     )
 
 
+def _metropolis(S: SubsetState, rng, kind, r, s=None, t=None):
+    """Accept the proposed move with probability min(1, r): draw u, keep S
+    when u >= min(1, r), otherwise apply the move. Returns (state, outcome)."""
+    p = min(1.0, r)
+    if rng.random() >= p:
+        return S, MoveOutcome(kind, s=s, t=t, accepted=False, acceptance_prob=p)
+    if kind == "add":
+        S = S.with_added(t)
+    elif kind == "delete":
+        S = S.with_deleted(s)
+    else:
+        S = S.with_swapped(s, t)
+    return S, MoveOutcome(kind, s=s, t=t, accepted=True, acceptance_prob=p)
+
+
 def step_add_delete(measure: MeasureOracle, S: SubsetState, rng):
     """One lazy add-delete Metropolis step.
 
@@ -97,21 +119,10 @@ def step_add_delete(measure: MeasureOracle, S: SubsetState, rng):
     """
     if rng.random() >= 0.5:
         return S, HOLD
-    n = measure.n
-    t = int(rng.integers(n))
+    t = int(rng.integers(measure.n))
     if S.contains(t):
-        r = measure.delete_ratio(S, t)
-        p = min(1.0, r)
-        if rng.random() < p:
-            return S.with_deleted(t), MoveOutcome("delete", s=t, accepted=True,
-                                                  acceptance_prob=p)
-        return S, MoveOutcome("delete", s=t, accepted=False, acceptance_prob=p)
-    r = measure.add_ratio(S, t)
-    p = min(1.0, r)
-    if rng.random() < p:
-        return S.with_added(t), MoveOutcome("add", t=t, accepted=True,
-                                            acceptance_prob=p)
-    return S, MoveOutcome("add", t=t, accepted=False, acceptance_prob=p)
+        return _metropolis(S, rng, "delete", measure.delete_ratio(S, t), s=t)
+    return _metropolis(S, rng, "add", measure.add_ratio(S, t), t=t)
 
 
 def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
@@ -122,16 +133,9 @@ def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
         return S, HOLD
     if rng.random() >= 0.5:
         return S, HOLD
-    inside = S.indices()
-    outside = np.flatnonzero(~S.membership)
-    s = int(inside[rng.integers(k)])
-    t = int(outside[rng.integers(n - k)])
-    r = measure.swap_ratio(S, s, t)
-    p = min(1.0, r)
-    if rng.random() < p:
-        return S.with_swapped(s, t), MoveOutcome("swap", s=s, t=t, accepted=True,
-                                                 acceptance_prob=p)
-    return S, MoveOutcome("swap", s=s, t=t, accepted=False, acceptance_prob=p)
+    s = int(S.indices()[rng.integers(k)])
+    t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
+    return _metropolis(S, rng, "swap", measure.swap_ratio(S, s, t), s=s, t=t)
 
 
 def projection_branch_widths(n, k):
@@ -155,87 +159,24 @@ def step_projection(measure: MeasureOracle, S: SubsetState, rng,
     k = S.cardinality
     q = rng.random()
     n2 = 2.0 * n * n
-    a_add = (n - k) ** 2 / n2
-    a_exch = (n - k) / (2.0 * n)
-    a_del = (k * k + n * (n - k)) / n2
-    if q < a_add:
-        outside = np.flatnonzero(~S.membership)
-        t = int(outside[rng.integers(n - k)])
+    if q < (n - k) ** 2 / n2:
+        t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
         r = measure.add_ratio(S, t) * (k + 1) / (n - k)
-        p = min(1.0, r)
-        if rng.random() < p:
-            return S.with_added(t), MoveOutcome("add", t=t, accepted=True,
-                                                acceptance_prob=p)
-        return S, MoveOutcome("add", t=t, accepted=False, acceptance_prob=p)
-    if q < a_exch:
-        outside = np.flatnonzero(~S.membership)
-        t = int(outside[rng.integers(n - k)])
-        inside = S.indices()
-        s = int(inside[rng.integers(k)])
-        p = min(1.0, measure.swap_ratio(S, s, t))
-        if rng.random() < p:
-            return S.with_swapped(s, t), MoveOutcome("swap", s=s, t=t,
-                                                     accepted=True,
-                                                     acceptance_prob=p)
-        return S, MoveOutcome("swap", s=s, t=t, accepted=False,
-                              acceptance_prob=p)
-    if q < a_del:
-        inside = S.indices()
-        s = int(inside[rng.integers(k)])
+        return _metropolis(S, rng, "add", r, t=t)
+    if q < (n - k) / (2.0 * n):
+        t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
+        s = int(S.indices()[rng.integers(k)])
+        return _metropolis(S, rng, "swap", measure.swap_ratio(S, s, t),
+                           s=s, t=t)
+    if q < (k * k + n * (n - k)) / n2:
+        s = int(S.indices()[rng.integers(k)])
         if paper_literal_delete:
             factor = k / (n - k + 1)
         else:
             factor = (n - k + 1) / k
-        p = min(1.0, measure.delete_ratio(S, s) * factor)
-        if rng.random() < p:
-            return S.with_deleted(s), MoveOutcome("delete", s=s, accepted=True,
-                                                  acceptance_prob=p)
-        return S, MoveOutcome("delete", s=s, accepted=False, acceptance_prob=p)
+        return _metropolis(S, rng, "delete",
+                           measure.delete_ratio(S, s) * factor, s=s)
     return S, HOLD
-
-
-class _CachedDppOracle(MeasureOracle):
-    """Per-chain wrapper that reads ratios from the cache's maintained inverse
-    of L_S; the cache forms a Cholesky factor only when it rebuilds.
-
-    An accepted move that leaves the cache flagged (its rebuild found L_S
-    numerically singular) raises ``ArithmeticError`` naming the stream, so
-    the chain does not run on with zero ratios.
-    """
-
-    def __init__(self, measure: LEnsemble, S: SubsetState, stream):
-        self.measure = measure
-        self.n = measure.n
-        self.stream = stream
-        self.cache = measure.make_cache(S)
-
-    def log_weight(self, S):
-        if S.cardinality == self.cache.size:
-            return self.cache.log_det
-        return self.measure.log_weight(S)
-
-    def add_ratio(self, S, t):
-        return self.cache.add_ratio(t)
-
-    def delete_ratio(self, S, s):
-        return self.cache.delete_ratio(s)
-
-    def swap_ratio(self, S, s, t):
-        return self.cache.swap_ratio(s, t)
-
-    def apply(self, outcome: MoveOutcome):
-        if not outcome.accepted or outcome.kind == "hold":
-            return
-        if outcome.kind == "add":
-            self.cache.apply_add(outcome.t)
-        elif outcome.kind == "delete":
-            self.cache.apply_delete(outcome.s)
-        else:
-            self.cache.apply_swap(outcome.s, outcome.t)
-        if self.cache.flagged:
-            raise ArithmeticError(
-                f"stream {self.stream}: DPP cache flagged after an accepted "
-                f"{outcome.kind}; the rebuild found L_S numerically singular")
 
 
 def initial_state(measure: MeasureOracle, spec: ChainSpec, rng) -> SubsetState:
@@ -246,15 +187,11 @@ def initial_state(measure: MeasureOracle, spec: ChainSpec, rng) -> SubsetState:
             raise ValueError("explicit init set has zero weight")
         return S
     if spec.init == "heaviest-singleton":
-        best, best_lw = None, NEG_INF
-        for i in range(n):
-            lw = measure.log_weight(SubsetState.from_indices([i], n))
-            if lw > best_lw:
-                best, best_lw = i, lw
-        if best is None or best_lw == NEG_INF:
+        lw = measure.singleton_log_weights()
+        if not np.any(lw > NEG_INF):
             raise ValueError("no singleton has positive weight; "
                              "use random-positive or explicit-set init")
-        return SubsetState.from_indices([best], n)
+        return SubsetState.from_indices([int(np.argmax(lw))], n)
     for _ in range(n * n):
         S = SubsetState(rng.random(n) < 0.5)
         if measure.log_weight(S) > NEG_INF:
@@ -272,43 +209,35 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0,
     """
     rng = chain_rng(spec.seed, stream)
     S = initial_state(measure, spec, rng)
-
-    oracle = measure
-    cached = None
-    if isinstance(measure, LEnsemble):
-        cached = _CachedDppOracle(measure, S, stream)
-        oracle = cached
-
+    oracle = measure.chain_oracle(S, stream)
+    # Chosen per call from the module globals, so that a stepper replaced at
+    # run time (a tracer, a test double) is the one that runs.
     if spec.kind == "add-delete":
-        def stepper(o, s, r):
-            return step_add_delete(o, s, r)
+        step = step_add_delete
     elif spec.kind == "exchange":
-        def stepper(o, s, r):
-            return step_exchange(o, s, r)
+        step = step_exchange
     else:
-        def stepper(o, s, r):
-            return step_projection(o, s, r, paper_literal_delete)
+        step = functools.partial(step_projection,
+                                 paper_literal_delete=paper_literal_delete)
 
     tr = Transcript(n=measure.n, chain_kind=spec.kind, seed=spec.seed,
                     stream=stream)
 
     def record(step_index, state, outcome):
         tr.steps.append(step_index)
-        tr.states.append(tuple(int(i) for i in state.indices()))
+        tr.states.append(tuple(state.indices().tolist()))
         tr.log_weights.append(float(oracle.log_weight(state)))
         tr.moves.append(outcome)
 
     for _ in range(spec.burn_in):
-        S, out = stepper(oracle, S, rng)
-        if cached is not None:
-            cached.apply(out)
+        S, out = step(oracle, S, rng)
+        oracle.apply(out)
     if spec.steps == 0:
         record(0, S, HOLD)
         return tr
     for i in range(1, spec.steps + 1):
-        S, out = stepper(oracle, S, rng)
-        if cached is not None:
-            cached.apply(out)
+        S, out = step(oracle, S, rng)
+        oracle.apply(out)
         if i % spec.thin == 0:
             record(i, S, out)
     return tr

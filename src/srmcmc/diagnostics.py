@@ -7,15 +7,15 @@ monitored statistic drops below a threshold (default 1.05).
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
 DEGENERATE_VAR = 1e-300
 DEFAULT_THRESHOLD = 1.05
 DEFAULT_CHAINS = 10
-
-STATISTICS = ("cardinality", "log_weight")  # plus ("indicator", i)
 
 
 def psrf(series) -> float:
@@ -116,13 +116,9 @@ def empirical_marginals(transcripts):
     if not transcripts:
         raise ValueError("need at least one transcript")
     n = transcripts[0].n
-    counts = np.zeros(n)
-    total = 0
-    for t in transcripts:
-        total += len(t)
-        for state in t.states:
-            for i in state:
-                counts[i] += 1
-    est = counts / total
+    counts = Counter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(t.states for t in transcripts)))
+    total = sum(map(len, transcripts))
+    est = np.array([counts[i] for i in range(n)], dtype=float) / total
     se = np.sqrt(est * (1.0 - est) / total)
     return est, se

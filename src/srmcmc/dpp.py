@@ -5,7 +5,9 @@ with pi(empty) = 1. The marginal kernel K = L(I+L)^{-1} gives inclusion
 probabilities Pr(S subset T) = det(K_S). Acceptance ratios for the chains are
 Schur complements, read in closed form from the inverse of L_S that
 :class:`CholeskyCache` maintains incrementally; it factors L_S by Cholesky
-only when it rebuilds.
+only when it rebuilds. ``LEnsemble.chain_oracle`` gives each chain a
+:class:`_CachedDppOracle`, which answers the ratios from its own cache and
+applies every accepted move to it.
 """
 from __future__ import annotations
 
@@ -72,6 +74,16 @@ class LEnsemble(MeasureOracle):
     def make_cache(self, S: SubsetState) -> "CholeskyCache":
         """Fresh per-chain incremental inverse of L_S for the current state."""
         return CholeskyCache(self.L, S.indices())
+
+    def chain_oracle(self, S: SubsetState, stream=0) -> "_CachedDppOracle":
+        """A per-chain oracle backed by a fresh inverse cache of L_S."""
+        return _CachedDppOracle(self, S, stream)
+
+    def singleton_log_weights(self) -> np.ndarray:
+        """log L_ii; -inf where L_ii <= 0."""
+        d = np.diag(self.L)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(d > 0.0, np.log(d), NEG_INF)
 
 
 def dpp_log_weight(L, S: SubsetState) -> float:
@@ -260,6 +272,50 @@ class CholeskyCache:
             self._rebuild()
 
 
+class _CachedDppOracle(MeasureOracle):
+    """Per-chain oracle that reads ratios from the cache's maintained inverse
+    of L_S; the cache forms a Cholesky factor only when it rebuilds.
+
+    An accepted move that leaves the cache flagged (its rebuild found L_S
+    numerically singular) raises ``ArithmeticError`` naming the stream, so
+    the chain does not run on with zero ratios.
+    """
+
+    def __init__(self, measure: LEnsemble, S: SubsetState, stream):
+        self.measure = measure
+        self.n = measure.n
+        self.stream = stream
+        self.cache = measure.make_cache(S)
+
+    def log_weight(self, S):
+        if S.cardinality == self.cache.size:
+            return self.cache.log_det
+        return self.measure.log_weight(S)
+
+    def add_ratio(self, S, t):
+        return self.cache.add_ratio(t)
+
+    def delete_ratio(self, S, s):
+        return self.cache.delete_ratio(s)
+
+    def swap_ratio(self, S, s, t):
+        return self.cache.swap_ratio(s, t)
+
+    def apply(self, outcome):
+        if not outcome.accepted or outcome.kind == "hold":
+            return
+        if outcome.kind == "add":
+            self.cache.apply_add(outcome.t)
+        elif outcome.kind == "delete":
+            self.cache.apply_delete(outcome.s)
+        else:
+            self.cache.apply_swap(outcome.s, outcome.t)
+        if self.cache.flagged:
+            raise ArithmeticError(
+                f"stream {self.stream}: DPP cache flagged after an accepted "
+                f"{outcome.kind}; the rebuild found L_S numerically singular")
+
+
 class SpectralSampler:
     """Exact i.i.d. DPP sampler from the eigendecomposition of L."""
 
@@ -292,11 +348,6 @@ class SpectralSampler:
             V = np.delete(V, j, axis=1)
             V, _ = np.linalg.qr(V)
         return SubsetState.from_indices(picked, self.n)
-
-
-def spectral_sample(L, rng) -> SubsetState:
-    """Draw one exact sample from pi(S) = det(L_S) / det(L + I)."""
-    return SpectralSampler(L).sample(rng)
 
 
 def rbf_kernel(points, bandwidth) -> LEnsemble:

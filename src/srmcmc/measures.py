@@ -3,6 +3,12 @@
 All weights live in log domain; ``-inf`` is the first-class encoding of a
 zero-weight set. The chain steppers only ever consume the ratio operations,
 which measures may override with faster specializations.
+
+A chain runs on ``measure.chain_oracle(S, stream)``, which answers those
+ratios for one chain, and passes every step's outcome to its ``apply``. The
+default oracle is the measure itself and ``apply`` does nothing; a measure
+that keeps incremental per-chain state returns its own oracle (the
+L-ensemble's inverse cache in :mod:`srmcmc.dpp`).
 """
 from __future__ import annotations
 
@@ -33,14 +39,6 @@ class SubsetState:
             raise ValueError("membership must be a 1-d boolean vector")
         self.membership = m
         self.cardinality = int(m.sum())
-
-    @classmethod
-    def empty(cls, n):
-        return cls(np.zeros(n, dtype=bool))
-
-    @classmethod
-    def full(cls, n):
-        return cls(np.ones(n, dtype=bool))
 
     @classmethod
     def from_indices(cls, indices, n):
@@ -120,6 +118,19 @@ class MeasureOracle:
 
     def log_weight(self, S: SubsetState) -> float:
         raise NotImplementedError
+
+    def chain_oracle(self, S: SubsetState, stream=0) -> "MeasureOracle":
+        """The oracle one chain starting at S runs on; the measure itself."""
+        return self
+
+    def apply(self, outcome):
+        """Observe one step's outcome; a stateless oracle has nothing to do."""
+
+    def singleton_log_weights(self) -> np.ndarray:
+        """log pi({i}) for every element i."""
+        n = self.n
+        return np.array([self.log_weight(SubsetState.from_indices([i], n))
+                         for i in range(n)], dtype=float)
 
     def _check(self, S):
         if S.n != self.n:
@@ -256,10 +267,6 @@ class SymmetricHomogenization(MeasureOracle):
         if lw == NEG_INF:
             return NEG_INF
         return lw - log_binomial(nb, real.cardinality)
-
-
-def symmetric_homogenization(base: MeasureOracle) -> SymmetricHomogenization:
-    return SymmetricHomogenization(base)
 
 
 def log_binomial(n, k):

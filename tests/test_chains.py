@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -9,9 +10,10 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     exchange_bound, run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
 from srmcmc.chains import initial_state, projection_branch_widths
+from srmcmc.dpp import rbf_kernel, spectrum_step_kernel
 from srmcmc.measures import MeasureOracle, log_binomial
 
-from conftest import random_psd_fixture, uniform_table
+from conftest import product_fixture, random_psd_fixture, uniform_table
 
 
 def S(indices, n):
@@ -238,6 +240,83 @@ class TestCachedDppPath:
         with pytest.raises(ArithmeticError, match="stream 3"):
             run_chain(m, ChainSpec("add-delete", steps=1000, seed=0),
                       stream=3)
+
+
+class TestHeaviestSingletonStart:
+    KERNELS = {
+        "rbf": lambda: rbf_kernel(np.random.default_rng(3).random((40, 3)),
+                                  0.5),
+        "spectrum-step": lambda: spectrum_step_kernel(
+            30, 15, 500.0, 1.0 / 500.0, np.random.default_rng(4)),
+        "random-psd": lambda: random_psd_fixture(20),
+        "zero-entries": lambda: LEnsemble(np.diag([0.0, 2.0, 0.0, 2.0])),
+    }
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_lensemble_start_matches_log_weight_loop(self, name):
+        m = self.KERNELS[name]()
+        loop = [m.log_weight(S([i], m.n)) for i in range(m.n)]
+        np.testing.assert_allclose(m.singleton_log_weights(), loop,
+                                   rtol=1e-12, atol=1e-15)
+        spec = ChainSpec("add-delete", steps=1, seed=0)
+        st = initial_state(m, spec, chain_rng(0))
+        assert list(st.indices()) == [loop.index(max(loop))]
+        assert st == initial_state(_PlainOracle(m), spec, chain_rng(0))
+
+    def test_zero_diagonal_kernel_raises(self):
+        with pytest.raises(ValueError, match="no singleton"):
+            run_chain(LEnsemble(np.zeros((3, 3))),
+                      ChainSpec("add-delete", steps=1, seed=0))
+
+
+# Fingerprints of transcripts recorded with the chain layer at commit
+# de6f216: sha256 of repr((steps, states, [(kind, accepted)])), then the sum
+# and the position-weighted sum of the recorded log weights. Fixed seeds must
+# keep producing these transcripts.
+REPRO_MEASURES = {
+    "product": lambda: product_fixture(8),
+    "psd-dpp": lambda: random_psd_fixture(8),
+    "k-product": lambda: CardinalityConditionedMeasure(product_fixture(8), 3),
+    "table": lambda: TableMeasure(np.r_[0.0, np.arange(1, 16) % 5]),
+}
+REPRO_FINGERPRINTS = {
+    ("product", "add-delete"): (
+        "dff6de5588f7b2a7c706a297a3fd55fbdf0a66a9ffbfbd50f633143f629532b4",
+        -1452.4337366641366, -209377.65166718353),
+    ("product", "projection"): (
+        "cce3101d45f223f64dbb80e030dd2368a96582b797a3c232ed41e12d3d4c685e",
+        -1484.5384871218257, -220241.95652110406),
+    ("psd-dpp", "add-delete"): (
+        "50fb564119449c473fcdd7250db95037e2853e0b9e582ea33248df772f095d57",
+        -20.983057969915514, -5475.149189135047),
+    ("psd-dpp", "projection"): (
+        "66892cd0b699473b7630f866cc45538e003cb42edcae71cd7ad843e967a5b043",
+        -22.344604702240737, -4103.674050621873),
+    ("table", "add-delete"): (
+        "0dbf9b3ad31765e4a54dcf509eb798583f48758a725a4244885c5d366453a0e3",
+        296.1208193338841, 41062.67239714097),
+    ("table", "projection"): (
+        "c5ff4f770dac69d437ed415a0f1781792c39703315d9a9d0dc8ccf62c8fa7d7b",
+        284.926232442647, 38943.421342610745),
+    ("k-product", "exchange"): (
+        "07308feecdb8372c18a360a5ee069d0b1ac0eefff84bb07b7bdb9643863aaff1",
+        -1480.6903191662686, -213630.1474846212),
+}
+
+
+@pytest.mark.parametrize("name, kind", list(REPRO_FINGERPRINTS))
+def test_transcripts_reproduce_across_versions(name, kind):
+    tr = run_chain(REPRO_MEASURES[name](),
+                   ChainSpec(kind, steps=2000, thin=7, seed=2016,
+                             init="random-positive"))
+    digest, lw_sum, lw_weighted = REPRO_FINGERPRINTS[name, kind]
+    moves = [(m.kind, m.accepted) for m in tr.moves]
+    assert hashlib.sha256(repr((tr.steps, tr.states, moves)).encode()
+                          ).hexdigest() == digest
+    lw = np.asarray(tr.log_weights)
+    assert lw.sum() == pytest.approx(lw_sum, rel=1e-12)
+    assert np.arange(1, lw.size + 1) @ lw == pytest.approx(lw_weighted,
+                                                           rel=1e-12)
 
 
 class TestBounds:

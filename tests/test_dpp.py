@@ -6,7 +6,7 @@ import pytest
 
 from srmcmc import (KernelValidationError, LEnsemble, SpectralSampler,
                     SubsetState, dpp_log_weight, enumerate_distribution,
-                    l_to_marginal, marginal_to_l, rbf_kernel, spectral_sample,
+                    l_to_marginal, marginal_to_l, rbf_kernel,
                     spectrum_step_kernel, validate_marginal_kernel)
 from srmcmc.measures import NEG_INF
 
@@ -176,7 +176,7 @@ class TestCholeskyCache:
 
 class TestSpectralSampler:
     def test_zero_kernel_gives_empty(self, rng):
-        st = spectral_sample(np.zeros((4, 4)), rng)
+        st = SpectralSampler(np.zeros((4, 4))).sample(rng)
         assert st.cardinality == 0
 
     def test_diagonal_inclusion_probabilities(self, rng):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, LEnsemble, ProductMeasure,
-                    TableMeasure, check_log_submodular, detailed_balance_check,
+                    SymmetricHomogenization, TableMeasure,
+                    check_log_submodular, detailed_balance_check,
                     enumerate_distribution, exact_marginals,
                     lumped_exchange_matrix, stationarity_check,
-                    symmetric_homogenization, transition_matrix,
-                    tv_mixing_time, tv_mixing_times_all)
+                    transition_matrix, tv_mixing_time, tv_mixing_times_all)
 from srmcmc.exact import restrict_distribution, total_variation
 
 from conftest import fixture_suite, uniform_table
@@ -112,7 +112,7 @@ class TestLumping:
     def test_homogenization_marginalizes_to_base(self):
         base = ProductMeasure([0.3, 0.8, 0.5])
         n = base.n
-        sh_dist = enumerate_distribution(symmetric_homogenization(base))
+        sh_dist = enumerate_distribution(SymmetricHomogenization(base))
         base_dist = enumerate_distribution(base)
         pooled = np.zeros(1 << n)
         for mask, p in enumerate(sh_dist.probs):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, ProductMeasure, SubsetState,
-                    SymmetricHomogenization, TableMeasure,
-                    symmetric_homogenization)
+                    SymmetricHomogenization, TableMeasure)
 from srmcmc.measures import NEG_INF, log_binomial
 
 from conftest import fixture_suite, uniform_table
@@ -131,21 +130,21 @@ class TestRatioConsistency:
 class TestSymmetricHomogenization:
     def test_one_element_base(self):
         base = TableMeasure([0.3, 0.7])
-        sh = symmetric_homogenization(base)
+        sh = SymmetricHomogenization(base)
         assert math.exp(sh.log_weight(S([0], 2))) == pytest.approx(0.7)
         assert math.exp(sh.log_weight(S([1], 2))) == pytest.approx(0.3)
         assert sh.log_weight(S([], 2)) == NEG_INF
         assert sh.log_weight(S([0, 1], 2)) == NEG_INF
 
     def test_off_cardinality_is_zero(self):
-        sh = symmetric_homogenization(ProductMeasure([0.4, 0.6]))
+        sh = SymmetricHomogenization(ProductMeasure([0.4, 0.6]))
         for mask in range(16):
             st = SubsetState.from_bitmask(mask, 4)
             if st.cardinality != 2:
                 assert sh.log_weight(st) == NEG_INF
 
     def test_two_element_uniform_base(self):
-        sh = symmetric_homogenization(TableMeasure([0.25] * 4))
+        sh = SymmetricHomogenization(TableMeasure([0.25] * 4))
         assert math.exp(sh.log_weight(S([0, 1], 4))) == pytest.approx(0.25)
         assert math.exp(sh.log_weight(S([0, 2], 4))) == pytest.approx(0.125)
 
