@@ -21,6 +21,7 @@ from .exact import (ExactDistribution, TransitionMatrix,
                     lumped_exchange_matrix, stationarity_check,
                     transition_matrix, tv_mixing_time, tv_mixing_times_all)
 from .diagnostics import (empirical_marginals, extract_summary,
-                          iterations_to_threshold, psrf, psrf_curve)
+                          first_crossing, iterations_to_threshold, psrf,
+                          psrf_curve)
 
 __version__ = "0.1.0"

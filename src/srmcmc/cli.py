@@ -373,25 +373,26 @@ def cmd_compare(args):
         for stat in stats:
             key = tuple(stat) if isinstance(stat, list) else stat
             series = diagnostics.extract_summary(transcripts, key)
-            crossing = None
-            for stop, r in diagnostics.psrf_curve(series, stride=stride):
-                curves.append((kind, _stat_name(key), stop * spec.thin,
-                               r if math.isfinite(r) else "inf"))
-                if crossing is None and r <= threshold:
-                    crossing = stop * spec.thin
+            curve = diagnostics.psrf_curve(series, stride=stride)
+            curves.extend((kind, _stat_name(key), stop * spec.thin,
+                           r if math.isfinite(r) else "inf")
+                          for stop, r in curve)
+            hit = diagnostics.first_crossing(curve, threshold)
             rows.append((kind, _stat_name(key),
-                         crossing if crossing is not None else ""))
+                         hit[0] * spec.thin if hit else "",
+                         "true" if hit and hit[1] else "false"))
 
     with open(out / "comparison.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["chain", "statistic", "iterations_to_threshold"])
+        w.writerow(["chain", "statistic", "iterations_to_threshold",
+                    "censored"])
         w.writerows(rows)
     with open(out / "psrf_curves.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["chain", "statistic", "iteration", "psrf"])
         w.writerows(curves)
     for row in rows:
-        print(f"{row[0]},{row[1]},{row[2]}")
+        print(",".join(map(str, row)))
     return 0
 
 

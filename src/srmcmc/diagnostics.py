@@ -3,7 +3,8 @@
 Plain (non-split) Gelman-Rubin potential scale reduction factor, scalar
 summary extraction, empirical marginals, and the iterations-to-threshold
 protocol: several parallel chains, convergence declared once the PSRF of the
-monitored statistic drops below a threshold (default 1.05).
+monitored statistic drops below a threshold (default 1.05); a crossing at the
+first checkpoint is flagged as censored.
 """
 from __future__ import annotations
 
@@ -101,9 +102,21 @@ def iterations_to_threshold(transcripts, statistic, threshold=DEFAULT_THRESHOLD,
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1")
     series = extract_summary(transcripts, statistic)
-    for stop, r in psrf_curve(series, stride=window_stride):
+    hit = first_crossing(psrf_curve(series, stride=window_stride), threshold)
+    return None if hit is None else hit[0]
+
+
+def first_crossing(curve, threshold=DEFAULT_THRESHOLD):
+    """(stop, censored) at the first point of a :func:`psrf_curve` with R-hat
+    <= threshold, or None if there is none.
+
+    ``censored`` is True when that point is the curve's first checkpoint: R-hat
+    was already below the threshold there, so the stop only bounds the
+    crossing from above and says nothing about how fast the chains mixed.
+    """
+    for k, (stop, r) in enumerate(curve):
         if r <= threshold:
-            return stop
+            return stop, k == 0
     return None
 
 

@@ -89,18 +89,17 @@ class LEnsemble(MeasureOracle):
 def dpp_log_weight(L, S: SubsetState) -> float:
     """log det(L_S); 0 for the empty set, -inf for a singular minor."""
     L = getattr(L, "L", L)
-    idx = S.indices()
-    if idx.size == 0:
+    if S.cardinality == 0:
         return 0.0
-    sub = L[np.ix_(idx, idx)]
+    m = S.membership
     try:
-        chol = np.linalg.cholesky(sub)
+        chol = np.linalg.cholesky(L.compress(m, 0).compress(m, 1))
     except np.linalg.LinAlgError:
         return NEG_INF
-    diag = np.diag(chol)
-    if np.any(diag <= 0.0):
+    diag = chol.diagonal()
+    if diag.min() <= 0.0:
         return NEG_INF
-    return float(2.0 * np.sum(np.log(diag)))
+    return float(2.0 * np.log(diag).sum())
 
 
 def marginal_to_l(K) -> LEnsemble:
@@ -317,7 +316,17 @@ class _CachedDppOracle(MeasureOracle):
 
 
 class SpectralSampler:
-    """Exact i.i.d. DPP sampler from the eigendecomposition of L."""
+    """Exact i.i.d. DPP sampler from the eigendecomposition of L.
+
+    Each draw keeps eigenvector v_m with probability lam_m / (1 + lam_m), then
+    picks one element per kept vector from the projection kernel K = V V^T of
+    the kept vectors V, in the sequential rank-1 form of Kulesza & Taskar
+    2012, Alg. 1: with d the residual diagonal of K (the squared row norms of
+    an orthonormal basis of what is left of span V), element i is picked
+    with probability d_i / sum(d), and conditioning on i subtracts the
+    rank-1 term c c^T, c = (K[i] - C^T C[:, i]) / sqrt(d_i), where the rows
+    of C are the earlier terms. No basis is re-orthonormalized.
+    """
 
     def __init__(self, L):
         L = np.asarray(getattr(L, "L", L), dtype=float)
@@ -329,24 +338,26 @@ class SpectralSampler:
 
     def sample(self, rng) -> SubsetState:
         chosen = rng.random(self.n) < self.inclusion
-        V = self.vecs[:, chosen].copy()
+        V = self.vecs[:, chosen]
+        k = V.shape[1]
+        K = V @ V.T
+        d = K.diagonal().copy()
+        C = np.empty((k, self.n))
         picked = []
-        while V.shape[1] > 0:
-            p = np.sum(V * V, axis=1)
-            total = p.sum()
+        for j in range(k):
+            total = d.sum()
             if total <= 0.0:
                 raise ArithmeticError("spectral sampler: degenerate projection")
-            i = int(np.searchsorted(np.cumsum(p / total), rng.random()))
+            i = int(np.searchsorted(np.cumsum(d / total), rng.random()))
             i = min(i, self.n - 1)
             picked.append(i)
-            if V.shape[1] == 1:
+            if j == k - 1:
                 break
-            # Eliminate coordinate i, drop one column, re-orthonormalize.
-            j = int(np.argmax(np.abs(V[i, :])))
-            col = V[:, j] / V[i, j]
-            V = V - np.outer(col, V[i, :])
-            V = np.delete(V, j, axis=1)
-            V, _ = np.linalg.qr(V)
+            c = (K[i] - C[:j, i] @ C[:j]) / math.sqrt(d[i])
+            C[j] = c
+            d -= c * c
+            d[i] = 0.0
+            np.maximum(d, 0.0, out=d)
         return SubsetState.from_indices(picked, self.n)
 
 

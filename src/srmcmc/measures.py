@@ -13,6 +13,7 @@ L-ensemble's inverse cache in :mod:`srmcmc.dpp`).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class SubsetState:
         if m.ndim != 1:
             raise ValueError("membership must be a 1-d boolean vector")
         self.membership = m
-        self.cardinality = int(m.sum())
+        self.cardinality = int(np.count_nonzero(m))
 
     @classmethod
     def from_indices(cls, indices, n):
@@ -51,11 +52,10 @@ class SubsetState:
 
     @classmethod
     def from_bitmask(cls, mask, n):
-        m = np.zeros(n, dtype=bool)
-        for i in range(n):
-            if mask >> i & 1:
-                m[i] = True
-        return cls(m)
+        """The set of the low n bits of the integer mask (bit i is element i)."""
+        low = operator.index(mask) & ((1 << n) - 1)
+        raw = np.frombuffer(low.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return cls(np.unpackbits(raw, count=n, bitorder="little").view(bool))
 
     @property
     def n(self):
@@ -68,10 +68,9 @@ class SubsetState:
         return bool(self.membership[i])
 
     def bitmask(self):
-        mask = 0
-        for i in np.flatnonzero(self.membership):
-            mask |= 1 << int(i)
-        return mask
+        """The integer with bit i set for each element i of the set."""
+        packed = np.packbits(self.membership, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def with_added(self, t):
         if self.membership[t]:

@@ -210,16 +210,37 @@ class TestCompare:
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "comparison.csv").read_text().splitlines()
-        assert lines[0] == "chain,statistic,iterations_to_threshold"
+        assert lines[0] == \
+            "chain,statistic,iterations_to_threshold,censored"
         body = [line.split(",") for line in lines[1:]]
         assert sorted({row[0] for row in body}) == ["add-delete", "projection"]
         assert sorted({row[1] for row in body}) == \
             ["cardinality", "indicator_0"]
         # a tiny product measure mixes immediately: every crossing recorded
         assert all(row[2] for row in body)
+        assert {row[3] for row in body} <= {"true", "false"}
         curves = (out / "psrf_curves.csv").read_text().splitlines()
         assert curves[0] == "chain,statistic,iteration,psrf"
         assert len(curves) > 1
+
+
+    def test_first_checkpoint_crossing_is_censored(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.5, 0.5, 0.5]},
+            "chain": {"steps": 3000, "thin": 3, "chains": 3, "seed": 1,
+                      "init": "random-positive"},
+            "compare": {"stride": 500},
+        })
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        # 500 retained draws of a 3-element product measure are far past
+        # R-hat 1.05, so both chains cross at the first checkpoint
+        assert rows == ["add-delete,cardinality,1500,true",
+                        "projection,cardinality,1500,true"]
+        assert capsys.readouterr().out.splitlines()[-2:] == rows
+        curves = (out / "psrf_curves.csv").read_text().splitlines()
+        assert curves[1].startswith("add-delete,cardinality,1500,")
 
 
 def test_flagged_dpp_cache_exits_2(tmp_path, singular_add_kernel, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     ProductMeasure, SpectralSampler, Transcript,
-                    empirical_marginals, extract_summary,
+                    empirical_marginals, extract_summary, first_crossing,
                     iterations_to_threshold, psrf, psrf_curve, run_chains)
 
 
@@ -154,6 +154,28 @@ class TestIterationsToThreshold:
                 assert r == pytest.approx(want, rel=1e-12)
         if prefix != "none":
             assert pts[0][1] == (1.0 if prefix == "identical" else math.inf)
+
+
+class TestFirstCrossing:
+    def test_first_checkpoint_is_censored(self):
+        assert first_crossing([(10, 1.01), (20, 1.0)]) == (10, True)
+        assert first_crossing([(10, 1.3), (20, 1.05), (30, 1.0)]) == \
+            (20, False)
+
+    def test_no_crossing(self):
+        assert first_crossing([(10, 1.3), (20, math.inf)]) is None
+        assert first_crossing([]) is None
+        assert first_crossing([(10, 1.04)], threshold=1.01) is None
+
+    def test_agrees_with_iterations_to_threshold(self):
+        m = LEnsemble(np.diag([2.0, 3.0, 1.5, 0.7]))
+        trs = iid_transcripts(m, 4, 1000, seed=5)
+        curve = psrf_curve(extract_summary(trs, "cardinality"))
+        for threshold in (1.01, 1.2, math.inf):
+            hit = first_crossing(curve, threshold)
+            assert iterations_to_threshold(trs, "cardinality",
+                                           threshold) == hit[0]
+        assert first_crossing(curve, math.inf) == (curve[0][0], True)
 
 
 class TestEmpiricalMarginals:

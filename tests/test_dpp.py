@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -9,6 +10,8 @@ from srmcmc import (KernelValidationError, LEnsemble, SpectralSampler,
                     l_to_marginal, marginal_to_l, rbf_kernel,
                     spectrum_step_kernel, validate_marginal_kernel)
 from srmcmc.measures import NEG_INF
+
+from conftest import random_psd_fixture
 
 
 def S(indices, n):
@@ -212,6 +215,79 @@ class TestSpectralSampler:
                            for _ in range(reps))], dtype=float)
         se = cards.std(ddof=1) / math.sqrt(reps)
         assert abs(cards.mean() - target) < 3 * se
+
+
+    def test_degenerate_projection_raises(self, rng):
+        sampler = SpectralSampler(np.eye(3))
+        sampler.inclusion = np.ones(3)
+        sampler.vecs = np.zeros((3, 3))
+        with pytest.raises(ArithmeticError, match="degenerate projection"):
+            sampler.sample(rng)
+
+
+def rank_deficient_fixture():
+    X = np.random.default_rng(77).standard_normal((10, 4))
+    return LEnsemble(X @ X.T)
+
+
+# sha256 of repr of 2,000 spectral draws (sorted index tuples) from
+# default_rng(99), recorded at commit c801f30 with the sampler that
+# re-orthonormalized by QR at every pick. The rank-1 form reads the RNG in the
+# same order and must keep producing these draws.
+SPECTRAL_DIGESTS = {
+    "psd-8": (lambda: random_psd_fixture(8),
+              "c7fe5f7bc48553dc66779647cab0a1164967fc370d36fb8db3c1a917b7129421"),
+    "psd-16": (lambda: random_psd_fixture(16),
+               "8a6be49af545968f1f4bbf8762d1128232a5b4d715f9d1f674bd64d0b0cb8b39"),
+    "rank-4-of-10": (rank_deficient_fixture,
+                     "72efd45d0b34fbc9d6dd962fd6108319526c48741c808fa58459cb23a459fe58"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRAL_DIGESTS))
+def test_spectral_draws_reproduce_across_versions(name):
+    make, digest = SPECTRAL_DIGESTS[name]
+    rng = np.random.default_rng(99)
+    sampler = SpectralSampler(make())
+    draws = [tuple(sampler.sample(rng).indices().tolist())
+             for _ in range(2000)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
+
+
+# sha256 of repr of [dpp_log_weight(L, S).hex()] over 500 random sets S
+# (inclusion level and membership from default_rng(11)), recorded at commit
+# c801f30: log weights must stay bit-identical.
+LOG_WEIGHT_DIGESTS = {
+    "psd-16": (lambda: random_psd_fixture(16),
+               "82da2a08fb6b44c53917c4da6d60050c643ad5486c2ae82055cb2fa2928ba982"),
+    "rbf-30": (lambda: rbf_kernel(
+        np.random.default_rng(3).standard_normal((30, 2)), 0.7),
+        "4bb99df3a67f5bee1b1beb2d2943d25bdc16ef3838e6706394f7f4d9cae05e62"),
+    "step-40": (lambda: spectrum_step_kernel(
+        40, 10, 50.0, 0.02, np.random.default_rng(4)),
+        "0a6a722149820a05cc4e451f56e1d3a2a22f92f0d9a236813f88f1d920da4a79"),
+}
+
+
+@pytest.mark.parametrize("name", list(LOG_WEIGHT_DIGESTS))
+def test_log_weights_reproduce_across_versions(name):
+    make, digest = LOG_WEIGHT_DIGESTS[name]
+    m = make()
+    rng = np.random.default_rng(11)
+    lws = [dpp_log_weight(m.L, SubsetState(rng.random(m.n) < rng.random()))
+           .hex() for _ in range(500)]
+    assert hashlib.sha256(repr(lws).encode()).hexdigest() == digest
+
+
+def test_log_weight_exact_on_singular_kernel(singular_add_kernel):
+    """Every set holding the zero-row element 3 is singular: -inf, not a
+    rounded finite weight. The others are log of a diagonal product."""
+    got = [dpp_log_weight(singular_add_kernel, SubsetState.from_bitmask(k, 4))
+           for k in range(16)]
+    assert got[:8] == [0.0, 0.0, 0.6931471805599454, 0.6931471805599454,
+                       1.0986122886681096, 1.0986122886681096,
+                       1.791759469228055, 1.791759469228055]
+    assert got[8:] == [NEG_INF] * 8
 
 
 class TestKernelSynthesis:

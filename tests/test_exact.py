@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from srmcmc import (CardinalityConditionedMeasure, LEnsemble, ProductMeasure,
                     transition_matrix, tv_mixing_time, tv_mixing_times_all)
 from srmcmc.exact import restrict_distribution, total_variation
 
-from conftest import fixture_suite, uniform_table
+from conftest import fixture_suite, random_psd_fixture, uniform_table
 
 
 class TestEnumeration:
@@ -32,6 +33,40 @@ class TestEnumeration:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             enumerate_distribution(ProductMeasure([0.5] * 21))
+
+    @pytest.mark.parametrize("weights", [np.r_[0.0, np.arange(1, 32) % 5],
+                                         np.ones(1)])
+    def test_marginals_match_definition(self, weights):
+        dist = enumerate_distribution(TableMeasure(weights))
+        want = [sum(p for mask, p in enumerate(dist.probs) if mask >> i & 1)
+                for i in range(dist.n)]
+        got = exact_marginals(dist)
+        assert got.shape == (dist.n,)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+    def test_one_log_weight_call_per_subset(self, monkeypatch):
+        """The oracle enumerates from log_weight itself, once per subset and
+        in bitmask order, with no batched shortcut of the measure's own."""
+        seen = []
+        original = LEnsemble.log_weight
+
+        def counted(self, S):
+            seen.append(S.bitmask())
+            return original(self, S)
+
+        monkeypatch.setattr(LEnsemble, "log_weight", counted)
+        enumerate_distribution(random_psd_fixture(10))
+        assert seen == list(range(1 << 10))
+
+    def test_probabilities_reproduce_across_versions(self):
+        """sha256 of repr of the probabilities' float.hex at N=12, and log Z,
+        recorded at commit c801f30: enumeration stays bit-identical."""
+        dist = enumerate_distribution(random_psd_fixture(12))
+        digest = hashlib.sha256(
+            repr([p.hex() for p in dist.probs]).encode()).hexdigest()
+        assert digest == ("fc51bc7ef6279fab221f0a93e16626fc"
+                          "f7d762cc6c842c31597c9f596f84c70c")
+        assert dist.log_z.hex() == "0x1.9fabce871c2b6p+2"
 
 
 class TestTransitionMatrices:

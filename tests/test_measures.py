@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -190,3 +191,35 @@ def test_subset_state_basics():
     assert list(st.with_swapped(3, 4).indices()) == [1, 4]
     with pytest.raises(ValueError):
         S([5], 5)
+
+
+def loop_membership(mask, n):
+    """Bit i of mask is element i: the element-by-element definition."""
+    m = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if mask >> i & 1:
+            m[i] = True
+    return m
+
+
+def loop_bitmask(membership):
+    mask = 0
+    for i in np.flatnonzero(membership):
+        mask |= 1 << int(i)
+    return mask
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 24, 70])
+def test_bitmask_round_trip_matches_bit_loops(n):
+    draw = random.Random(n).getrandbits
+    masks = [0, (1 << n) - 1] + [draw(n) for _ in range(50)]
+    for mask in masks:
+        st = SubsetState.from_bitmask(mask, n)
+        assert np.array_equal(st.membership, loop_membership(mask, n))
+        assert st.cardinality == bin(mask).count("1")
+        assert st.bitmask() == loop_bitmask(st.membership) == mask
+    # bits at and above n are ignored, negative masks read in two's complement
+    for mask in masks[:5]:
+        for other in (mask | (draw(8) << n), -1 - mask, np.int64(mask & 0xFF)):
+            assert np.array_equal(SubsetState.from_bitmask(other, n).membership,
+                                  loop_membership(other, n))
