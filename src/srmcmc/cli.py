@@ -263,23 +263,22 @@ def cmd_check(args):
             return 1
         dist = exact.enumerate_distribution(measure)
         entry = {"name": name, "n": n}
-        tm = exact.transition_matrix(measure, "projection",
-                                     paper_literal_delete=literal)
+        tm_corr = exact.transition_matrix(measure, "projection")
+        tm = (exact.transition_matrix(measure, "projection",
+                                      paper_literal_delete=True)
+              if literal else tm_corr)
         entry["stationarity_residual"] = exact.stationarity_check(tm, dist)
         entry["detailed_balance_residual"] = exact.detailed_balance_check(tm, dist)
         entry["stationary"] = entry["stationarity_residual"] <= 1e-10
         if n <= 6:
             try:
                 lum = exact.lumped_exchange_matrix(measure)
-                diff = float(np.max(np.abs(lum.P - exact.transition_matrix(
-                    measure, "projection").P)))
+                diff = float(np.max(np.abs(lum.P - tm_corr.P)))
                 entry["lumping_max_diff"] = diff
                 entry["lumping_ok"] = diff <= 1e-12
             except ArithmeticError as e:
                 entry["lumping_ok"] = False
                 entry["lumping_error"] = str(e)
-        tm_corr = tm if not literal else exact.transition_matrix(measure,
-                                                                 "projection")
         mix = exact.tv_mixing_times_all(tm_corr, dist, eps_list)
         pi = exact.restrict_distribution(dist, tm_corr.states)
         dominated = True

@@ -5,11 +5,13 @@ subset, and never reuses the chains' ratio fast paths or any batched
 determinant path of a particular measure, so these functions serve as
 independent checks of stationarity, detailed balance, the exchange-chain
 lumping argument, and total-variation mixing times. Only the bookkeeping
-around those calls is vectorized (bitmask states, marginal sums).
+around those calls is vectorized: bitmask states, marginal sums, and one
+Metropolis builder that turns each chain's table of XOR moves into its
+matrix. The lumped matrix is the homogenization's exchange matrix, built
+the same way and summed over projections.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,15 +78,76 @@ def exact_marginals(dist: ExactDistribution) -> np.ndarray:
                      for i in range(dist.n)], dtype=float)
 
 
-def _ratio(lw_new, lw_cur):
-    if lw_new == NEG_INF:
-        return 0.0
-    d = lw_new - lw_cur
-    return math.inf if d > 700.0 else math.exp(d)
+def _metropolis_matrix(states, lw, moves):
+    """Metropolis matrix over the bitmask array ``states``.
+
+    ``lw`` holds the log weights of every bitmask. Each move is
+    ``(xor_mask, valid_from, width, factor)``: from every state m where
+    ``valid_from`` holds, the move proposes m ^ xor_mask with probability
+    ``width`` and accepts it with probability min(1, factor pi(m ^ xor) / pi(m)).
+    ``valid_from``, ``width`` and ``factor`` are scalars or arrays over
+    ``states``. Targets outside ``states`` are dropped, and the rest of each
+    row goes to the diagonal.
+    """
+    index = np.full(lw.shape[0], -1)
+    index[states] = np.arange(states.size)
+    rows = np.arange(states.size)
+    P = np.zeros((states.size, states.size))
+    for xor, valid_from, width, factor in moves:
+        target = states ^ xor
+        j = index[target]
+        ok = (j >= 0) & valid_from
+        with np.errstate(over="ignore"):
+            acc = np.minimum(1.0, factor * np.exp(lw[target] - lw[states]))
+        P[rows[ok], j[ok]] += (width * acc)[ok]
+    P[rows, rows] += 1.0 - P.sum(axis=1)
+    return P
 
 
-def _support(lw):
-    return [mask for mask in range(lw.shape[0]) if np.isfinite(lw[mask])]
+def _states(lw, n, k=None):
+    """Positive-weight bitmasks, on the k-shell when k is given, and their
+    (states, n) table of 0/1 bits."""
+    states = np.flatnonzero(np.isfinite(lw))
+    bits = (states[:, None] >> np.arange(n)) & 1
+    if k is not None:
+        shell = bits.sum(axis=1) == k
+        states, bits = states[shell], bits[shell]
+    if not states.size:
+        raise ValueError("empty state space")
+    return states, bits
+
+
+def _pair_flips(bits, width):
+    """Swap moves: flip s and t together from every state holding one of them."""
+    n = bits.shape[1]
+    return (((1 << s) | (1 << t), bits[:, s] != bits[:, t], width, 1.0)
+            for s in range(n) for t in range(s + 1, n))
+
+
+def _exchange_moves(bits, k):
+    """Exchange-chain moves on the k-shell: each swap at width 1/2k(N-k)."""
+    n = bits.shape[1]
+    return _pair_flips(bits, 0.5 / (k * (n - k))) if 0 < k < n else ()
+
+
+def _projection_moves(bits, paper_literal_delete):
+    """Projection-chain moves; each width is branch width / choices in branch.
+
+    Flipping e adds it at width (N-k)/2N^2 with factor (k+1)/(N-k), or
+    deletes it at width k/2N^2 with the delete factor; swaps have width 1/2N^2.
+    """
+    n = bits.shape[1]
+    k = bits.sum(axis=1)
+    n2 = 2.0 * n * n
+    with np.errstate(divide="ignore"):
+        add = (k + 1) / (n - k)
+        delete = k / (n - k + 1.0) if paper_literal_delete \
+            else (n - k + 1.0) / k
+    for e in range(n):
+        inside = bits[:, e] == 1
+        yield (1 << e, True, np.where(inside, k, n - k) / n2,
+               np.where(inside, delete, add))
+    yield from _pair_flips(bits, 1.0 / n2)
 
 
 def transition_matrix(measure: MeasureOracle, chain_kind, cardinality=None,
@@ -98,63 +161,21 @@ def transition_matrix(measure: MeasureOracle, chain_kind, cardinality=None,
     n = measure.n
     if n > 10:
         raise ValueError("exact transition matrices capped at n <= 10")
+    if chain_kind not in ("add-delete", "exchange", "projection"):
+        raise ValueError(f"unknown chain kind {chain_kind!r}")
+    if chain_kind == "exchange" and cardinality is None:
+        raise ValueError("exchange matrix needs a cardinality shell")
     lw = _log_weights(measure, n)
-    if chain_kind == "exchange":
-        if cardinality is None:
-            raise ValueError("exchange matrix needs a cardinality shell")
-        states = [m for m in _support(lw) if bin(m).count("1") == cardinality]
+    states, bits = _states(lw, n, cardinality if chain_kind == "exchange"
+                           else None)
+    if chain_kind == "add-delete":
+        moves = ((1 << e, True, 0.5 / n, 1.0) for e in range(n))
+    elif chain_kind == "exchange":
+        moves = _exchange_moves(bits, cardinality)
     else:
-        states = _support(lw)
-    if not states:
-        raise ValueError("empty state space")
-    pos = {m: i for i, m in enumerate(states)}
-    P = np.zeros((len(states), len(states)))
-
-    for m in states:
-        i = pos[m]
-        k = bin(m).count("1")
-        inside = [e for e in range(n) if m >> e & 1]
-        outside = [e for e in range(n) if not m >> e & 1]
-        if chain_kind == "add-delete":
-            for e in range(n):
-                m2 = m ^ (1 << e)
-                acc = min(1.0, _ratio(lw[m2], lw[m]))
-                if m2 in pos:
-                    P[i, pos[m2]] += 0.5 / n * acc
-        elif chain_kind == "exchange":
-            if 0 < k < n:
-                for s in inside:
-                    for t in outside:
-                        m2 = m ^ (1 << s) ^ (1 << t)
-                        acc = min(1.0, _ratio(lw[m2], lw[m]))
-                        if m2 in pos:
-                            P[i, pos[m2]] += 0.5 / (k * (n - k)) * acc
-        elif chain_kind == "projection":
-            # Per-target move probabilities: branch width / choices in branch.
-            for t in outside:
-                m2 = m | (1 << t)
-                acc = min(1.0, _ratio(lw[m2], lw[m]) * (k + 1) / (n - k))
-                if m2 in pos:
-                    P[i, pos[m2]] += (n - k) / (2.0 * n * n) * acc
-            for s in inside:
-                for t in outside:
-                    m2 = m ^ (1 << s) | (1 << t)
-                    acc = min(1.0, _ratio(lw[m2], lw[m]))
-                    if m2 in pos:
-                        P[i, pos[m2]] += 1.0 / (2.0 * n * n) * acc
-            for s in inside:
-                m2 = m ^ (1 << s)
-                if paper_literal_delete:
-                    factor = k / (n - k + 1.0)
-                else:
-                    factor = (n - k + 1.0) / k
-                acc = min(1.0, _ratio(lw[m2], lw[m]) * factor)
-                if m2 in pos:
-                    P[i, pos[m2]] += k / (2.0 * n * n) * acc
-        else:
-            raise ValueError(f"unknown chain kind {chain_kind!r}")
-        P[i, i] += 1.0 - P[i].sum()
-    return TransitionMatrix(n=n, states=states, P=P)
+        moves = _projection_moves(bits, paper_literal_delete)
+    return TransitionMatrix(n=n, states=states.tolist(),
+                            P=_metropolis_matrix(states, lw, moves))
 
 
 def restrict_distribution(dist: ExactDistribution, states) -> np.ndarray:
@@ -182,66 +203,35 @@ def detailed_balance_check(tm: TransitionMatrix, dist: ExactDistribution) -> flo
 def lumped_exchange_matrix(base: MeasureOracle, lump_tol=1e-12) -> TransitionMatrix:
     """Exchange chain on the symmetric homogenization, projected onto the base set.
 
-    Builds the Gibbs exchange matrix over all size-N subsets R of the doubled
-    ground set with positive homogenized weight, verifies that rows with the
-    same projection S = R intersect V produce identical projected rows
-    (lumpability, tolerance ``lump_tol`` absolute), and returns the lumped
-    matrix over base subsets.
+    Builds the Gibbs exchange matrix of ``SymmetricHomogenization(base)`` on
+    its size-N shell (the subsets R of the doubled ground set with positive
+    weight), verifies that rows with the same projection S = R intersect V
+    produce identical projected rows (lumpability, tolerance ``lump_tol``
+    absolute), and returns the lumped matrix over base subsets.
     """
     n = base.n
     if n > 6:
         raise ValueError("lumped exchange matrices capped at n <= 6")
-    sh = SymmetricHomogenization(base)
-    m2 = 2 * n
+    lw = _log_weights(SymmetricHomogenization(base), 2 * n)
+    r_states, bits = _states(lw, 2 * n, n)
 
-    base_lw = _log_weights(base, n)
-    base_states = _support(base_lw)
-    base_pos = {m: i for i, m in enumerate(base_states)}
-
-    # All size-n subsets of [2n] with positive homogenized weight.
-    r_states = []
-    for combo in itertools.combinations(range(m2), n):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        if np.isfinite(base_lw[mask & ((1 << n) - 1)]):
-            r_states.append(mask)
-    r_pos = {m: i for i, m in enumerate(r_states)}
-    r_lw = np.array([
-        sh.log_weight(SubsetState.from_bitmask(m, m2)) for m in r_states
-    ])
-
-    P = np.zeros((len(r_states), len(r_states)))
-    for m in r_states:
-        i = r_pos[m]
-        inside = [e for e in range(m2) if m >> e & 1]
-        outside = [e for e in range(m2) if not m >> e & 1]
-        for s in inside:
-            for t in outside:
-                mm = m ^ (1 << s) ^ (1 << t)
-                j = r_pos.get(mm)
-                if j is None:
-                    continue
-                acc = min(1.0, _ratio(r_lw[j], r_lw[i]))
-                P[i, j] += 0.5 / (n * n) * acc
-        P[i, i] += 1.0 - P[i].sum()
-
-    # Project each row onto base subsets and verify lumpability.
-    proj = np.array([m & ((1 << n) - 1) for m in r_states])
-    lumped_rows = np.zeros((len(r_states), len(base_states)))
-    for j, pm in enumerate(proj):
-        lumped_rows[:, base_pos[pm]] += P[:, j]
-    lumped = np.zeros((len(base_states), len(base_states)))
-    for bm, bi in base_pos.items():
-        members = np.flatnonzero(proj == bm)
-        rows = lumped_rows[members]
-        spread = float(np.max(np.abs(rows - rows[0]))) if len(rows) > 1 else 0.0
-        if spread > lump_tol:
-            raise ArithmeticError(
-                f"lumpability violated for projection {bm:b}: row spread {spread:.3e}"
-            )
-        lumped[bi] = rows[0]
-    return TransitionMatrix(n=n, states=base_states, P=lumped)
+    # Sum each exchange row over the R with the same projection S, then
+    # check that all R projecting to S give the same lumped row.
+    proj = r_states & ((1 << n) - 1)
+    base_states, first, col = np.unique(proj, return_index=True,
+                                        return_inverse=True)
+    lumped_rows = np.zeros((r_states.size, base_states.size))
+    np.add.at(lumped_rows, (slice(None), col),
+              _metropolis_matrix(r_states, lw, _exchange_moves(bits, n)))
+    spread = np.max(np.abs(lumped_rows - lumped_rows[first[col]]), axis=1)
+    worst = int(np.argmax(spread))
+    if spread[worst] > lump_tol:
+        raise ArithmeticError(
+            f"lumpability violated for projection {proj[worst]:b}: "
+            f"row spread {spread[worst]:.3e}"
+        )
+    return TransitionMatrix(n=n, states=base_states.tolist(),
+                            P=lumped_rows[first])
 
 
 def total_variation(p, q):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from srmcmc import exact
 from srmcmc.cli import main, load_kernel_csv, write_kernel_csv
 
 
@@ -159,6 +160,27 @@ class TestCheck:
         report = json.loads((out / "check_report.json").read_text())
         assert report["pass"] is False
         assert any(not e["stationary"] for e in report["fixtures"])
+
+    @pytest.mark.parametrize("flags,builds",
+                             [([], 4), (["--paper-literal-delete"], 8)])
+    def test_builds_each_matrix_once(self, tmp_path, monkeypatch, flags,
+                                     builds):
+        """One corrected projection matrix per fixture serves stationarity,
+        lumping, mixing and the bound; the literal one is built only under
+        the flag."""
+        calls = []
+        original = exact.transition_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("paper_literal_delete", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "transition_matrix", counted)
+        cfg = write_config(tmp_path, {})
+        main(["check", "--config", cfg, "--out", str(tmp_path / "out"),
+              *flags])
+        assert len(calls) == builds
+        assert calls.count(True) == (4 if flags else 0)
 
     def test_configured_measure(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,16 +1,22 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from srmcmc import (CardinalityConditionedMeasure, LEnsemble, ProductMeasure,
-                    SymmetricHomogenization, TableMeasure,
-                    check_log_submodular, detailed_balance_check,
-                    enumerate_distribution, exact_marginals,
-                    lumped_exchange_matrix, stationarity_check,
-                    transition_matrix, tv_mixing_time, tv_mixing_times_all)
-from srmcmc.exact import restrict_distribution, total_variation
+from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
+                    ProductMeasure, SubsetState, SymmetricHomogenization,
+                    TableMeasure, chain_rng, check_log_submodular,
+                    detailed_balance_check, enumerate_distribution,
+                    exact_marginals, lumped_exchange_matrix,
+                    stationarity_check, step_add_delete, step_exchange,
+                    step_projection, transition_matrix, tv_mixing_time,
+                    tv_mixing_times_all)
+from srmcmc.chains import initial_state
+from srmcmc.exact import (TransitionMatrix, restrict_distribution,
+                          total_variation)
+from srmcmc.measures import NEG_INF
 
 from conftest import fixture_suite, random_psd_fixture, uniform_table
 
@@ -103,6 +109,19 @@ class TestTransitionMatrices:
         assert len(tm.states) == 6
         assert np.allclose(tm.P.sum(axis=1), 1.0)
 
+    def test_unknown_kind_rejected_before_enumerating(self, monkeypatch):
+        seen = []
+        original = LEnsemble.log_weight
+
+        def counted(self, S):
+            seen.append(S.bitmask())
+            return original(self, S)
+
+        monkeypatch.setattr(LEnsemble, "log_weight", counted)
+        with pytest.raises(ValueError, match="unknown chain kind"):
+            transition_matrix(random_psd_fixture(4), "gibbs")
+        assert seen == []
+
 
 class TestStationarity:
     @pytest.mark.parametrize("name,measure", fixture_suite(5))
@@ -143,6 +162,13 @@ class TestLumping:
         proj = transition_matrix(measure, "projection")
         assert lumped.states == proj.states
         assert np.max(np.abs(lumped.P - proj.P)) <= 1e-12
+
+    def test_lumpability_violation_names_projection(self):
+        with pytest.raises(ArithmeticError,
+                           match=r"lumpability violated for projection "
+                                 r"[01]+: row spread"):
+            lumped_exchange_matrix(ProductMeasure([0.3, 0.8, 0.5]),
+                                   lump_tol=-1.0)
 
     def test_homogenization_marginalizes_to_base(self):
         base = ProductMeasure([0.3, 0.8, 0.5])
@@ -219,3 +245,193 @@ class TestLogSubmodularity:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             check_log_submodular(ProductMeasure([0.5] * 13))
+
+
+def loop_ratio(lw_new, lw_cur):
+    if lw_new == NEG_INF:
+        return 0.0
+    d = lw_new - lw_cur
+    return math.inf if d > 700.0 else math.exp(d)
+
+
+def loop_log_weights(measure, n):
+    return np.array([measure.log_weight(SubsetState.from_bitmask(mask, n))
+                     for mask in range(1 << n)])
+
+
+def loop_transition_matrix(measure, chain_kind, cardinality=None,
+                           paper_literal_delete=False):
+    """The state-by-state, move-by-move definition of each chain's matrix."""
+    n = measure.n
+    lw = loop_log_weights(measure, n)
+    states = [m for m in range(1 << n) if np.isfinite(lw[m])]
+    if chain_kind == "exchange":
+        states = [m for m in states if bin(m).count("1") == cardinality]
+    if not states:
+        raise ValueError("empty state space")
+    pos = {m: i for i, m in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for m in states:
+        i = pos[m]
+        k = bin(m).count("1")
+        inside = [e for e in range(n) if m >> e & 1]
+        outside = [e for e in range(n) if not m >> e & 1]
+        if chain_kind == "add-delete":
+            for e in range(n):
+                m2 = m ^ (1 << e)
+                acc = min(1.0, loop_ratio(lw[m2], lw[m]))
+                if m2 in pos:
+                    P[i, pos[m2]] += 0.5 / n * acc
+        elif chain_kind == "exchange":
+            if 0 < k < n:
+                for s in inside:
+                    for t in outside:
+                        m2 = m ^ (1 << s) ^ (1 << t)
+                        acc = min(1.0, loop_ratio(lw[m2], lw[m]))
+                        if m2 in pos:
+                            P[i, pos[m2]] += 0.5 / (k * (n - k)) * acc
+        else:
+            for t in outside:
+                m2 = m | (1 << t)
+                acc = min(1.0, loop_ratio(lw[m2], lw[m]) * (k + 1) / (n - k))
+                if m2 in pos:
+                    P[i, pos[m2]] += (n - k) / (2.0 * n * n) * acc
+            for s in inside:
+                for t in outside:
+                    m2 = m ^ (1 << s) | (1 << t)
+                    acc = min(1.0, loop_ratio(lw[m2], lw[m]))
+                    if m2 in pos:
+                        P[i, pos[m2]] += 1.0 / (2.0 * n * n) * acc
+            for s in inside:
+                m2 = m ^ (1 << s)
+                if paper_literal_delete:
+                    factor = k / (n - k + 1.0)
+                else:
+                    factor = (n - k + 1.0) / k
+                acc = min(1.0, loop_ratio(lw[m2], lw[m]) * factor)
+                if m2 in pos:
+                    P[i, pos[m2]] += k / (2.0 * n * n) * acc
+        P[i, i] += 1.0 - P[i].sum()
+    return TransitionMatrix(n=n, states=states, P=P)
+
+
+def loop_lumped_exchange_matrix(base):
+    """Exchange chain on the homogenization over the size-n combinations of
+    [2n], lumped column by column; each base row is its first member's."""
+    n = base.n
+    sh = SymmetricHomogenization(base)
+    base_lw = loop_log_weights(base, n)
+    base_states = [m for m in range(1 << n) if np.isfinite(base_lw[m])]
+    base_pos = {m: i for i, m in enumerate(base_states)}
+    r_states = []
+    for combo in itertools.combinations(range(2 * n), n):
+        mask = sum(1 << e for e in combo)
+        if np.isfinite(base_lw[mask & ((1 << n) - 1)]):
+            r_states.append(mask)
+    r_pos = {m: i for i, m in enumerate(r_states)}
+    r_lw = [sh.log_weight(SubsetState.from_bitmask(m, 2 * n))
+            for m in r_states]
+    P = np.zeros((len(r_states), len(r_states)))
+    for m in r_states:
+        i = r_pos[m]
+        inside = [e for e in range(2 * n) if m >> e & 1]
+        outside = [e for e in range(2 * n) if not m >> e & 1]
+        for s in inside:
+            for t in outside:
+                j = r_pos.get(m ^ (1 << s) ^ (1 << t))
+                if j is not None:
+                    acc = min(1.0, loop_ratio(r_lw[j], r_lw[i]))
+                    P[i, j] += 0.5 / (n * n) * acc
+        P[i, i] += 1.0 - P[i].sum()
+    proj = np.array([m & ((1 << n) - 1) for m in r_states])
+    lumped_rows = np.zeros((len(r_states), len(base_states)))
+    for j, pm in enumerate(proj):
+        lumped_rows[:, base_pos[pm]] += P[:, j]
+    lumped = np.zeros((len(base_states), len(base_states)))
+    for bm, bi in base_pos.items():
+        lumped[bi] = lumped_rows[np.flatnonzero(proj == bm)[0]]
+    return TransitionMatrix(n=n, states=base_states, P=lumped)
+
+
+REFERENCE_CASES = [(f"{name}-{n}", m) for n in range(1, 7)
+                   for name, m in fixture_suite(n)] + [
+    ("zero-weight-table", TableMeasure(np.r_[0.0, np.arange(1, 32) % 5]))]
+
+
+def assert_same_matrix(got, want):
+    assert got.states == want.states
+    assert all(type(m) is int for m in got.states)
+    assert np.max(np.abs(got.P - want.P)) <= 1e-15
+
+
+class TestLoopReferences:
+    """The vectorized builders against the state-by-state loops above."""
+
+    @pytest.mark.parametrize("name,measure", REFERENCE_CASES)
+    def test_transition_matrices_match_loops(self, name, measure):
+        assert_same_matrix(transition_matrix(measure, "add-delete"),
+                           loop_transition_matrix(measure, "add-delete"))
+        for literal in (False, True):
+            assert_same_matrix(
+                transition_matrix(measure, "projection",
+                                  paper_literal_delete=literal),
+                loop_transition_matrix(measure, "projection",
+                                       paper_literal_delete=literal))
+        shells = 0
+        for k in range(measure.n + 1):
+            try:
+                want = loop_transition_matrix(measure, "exchange", k)
+            except ValueError:
+                with pytest.raises(ValueError, match="empty state space"):
+                    transition_matrix(measure, "exchange", cardinality=k)
+                continue
+            assert_same_matrix(
+                transition_matrix(measure, "exchange", cardinality=k), want)
+            shells += 1
+        assert shells >= 1
+
+    @pytest.mark.parametrize("name,measure",
+                             [c for c in REFERENCE_CASES if c[1].n <= 5])
+    def test_lumped_matrix_matches_loops(self, name, measure):
+        assert_same_matrix(lumped_exchange_matrix(measure),
+                           loop_lumped_exchange_matrix(measure))
+
+
+def proposal_width(chain_kind, move, n, k):
+    """Probability that one step proposes a given move from a k-set."""
+    if chain_kind == "add-delete":
+        return 0.5 / n
+    if chain_kind == "exchange":
+        return 0.5 / (k * (n - k))
+    return {"add": n - k, "swap": 1, "delete": k}[move] / (2.0 * n * n)
+
+
+STEPPERS = {"add-delete": step_add_delete, "exchange": step_exchange,
+            "projection": step_projection}
+
+
+@pytest.mark.parametrize("name,measure", fixture_suite(5))
+@pytest.mark.parametrize("kind", sorted(STEPPERS))
+def test_steppers_match_exact_matrices(name, measure, kind):
+    """Every proposal's width times its acceptance probability is the exact
+    matrix entry for that move, along a walk through the chain oracle."""
+    rng = chain_rng(2016)
+    S = initial_state(measure, ChainSpec(kind, steps=1,
+                                         init="random-positive"), rng)
+    tm = transition_matrix(measure, kind, cardinality=S.cardinality)
+    pos = {m: i for i, m in enumerate(tm.states)}
+    oracle = measure.chain_oracle(S, 0)
+    proposals = 0
+    for _ in range(3000):
+        nxt, out = STEPPERS[kind](oracle, S, rng)
+        oracle.apply(out)
+        if out.kind != "hold":
+            m = S.bitmask()
+            m2 = m ^ sum(1 << e for e in (out.s, out.t) if e is not None)
+            want = tm.P[pos[m], pos[m2]] if m2 in pos else 0.0
+            got = proposal_width(kind, out.kind, measure.n, S.cardinality) \
+                * out.acceptance_prob
+            assert abs(got - want) <= 1e-12, (m, out)
+            proposals += 1
+        S = nxt
+    assert proposals >= 500
