@@ -19,7 +19,7 @@ from .exact import (ExactDistribution, TransitionMatrix,
                     check_log_submodular, detailed_balance_check,
                     enumerate_distribution, exact_marginals,
                     lumped_exchange_matrix, stationarity_check,
-                    transition_matrix, tv_mixing_time, tv_mixing_times_all)
+                    transition_matrix, tv_mixing_times_all)
 from .diagnostics import (empirical_marginals, extract_summary,
                           first_crossing, iterations_to_threshold, psrf,
                           psrf_curve)

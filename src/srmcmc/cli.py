@@ -246,6 +246,12 @@ def cmd_check(args):
     eps_list = cfg.get("eps", [0.05, 0.01])
     if not isinstance(eps_list, list):
         eps_list = [eps_list]
+    if not eps_list or any(isinstance(e, bool)
+                           or not isinstance(e, (int, float))
+                           or not 0.0 < e <= 1.0 for e in eps_list):
+        raise ConfigError(
+            f"eps must be a nonempty list of numbers in (0, 1], got "
+            f"{cfg['eps']!r}")
     literal = bool(args.paper_literal_delete)
 
     if "measure" in cfg:

@@ -1,14 +1,17 @@
 """Brute-force oracles for small ground sets.
 
 Everything here enumerates subsets directly from ``log_weight``, one call per
-subset, and never reuses the chains' ratio fast paths or any batched
-determinant path of a particular measure, so these functions serve as
-independent checks of stationarity, detailed balance, the exchange-chain
-lumping argument, and total-variation mixing times. Only the bookkeeping
-around those calls is vectorized: bitmask states, marginal sums, and one
-Metropolis builder that turns each chain's table of XOR moves into its
-matrix. The lumped matrix is the homogenization's exchange matrix, built
-the same way and summed over projections.
+subset (for the symmetric homogenization, per subset of its size-N shell,
+the only one with weight), and never reuses the chains' ratio fast paths or
+any batched determinant path of a particular measure, so these functions
+serve as independent checks of stationarity, detailed balance, the
+exchange-chain lumping argument, and total-variation mixing times. Only the
+bookkeeping around those calls is vectorized: bitmask states, marginal sums,
+and one Metropolis builder that turns each chain's table of XOR moves into
+its matrix. The lumped matrix is the homogenization's exchange matrix, built
+the same way and summed over projections. TV mixing times are first
+crossings, found for every start at once by repeated squaring of the matrix
+and bisection over its powers.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from .measures import (NEG_INF, MeasureOracle, SubsetState,
                        SymmetricHomogenization)
 
 MAX_ENUM_N = 20
+MAX_MIX_STEPS = 2**20
 
 
 @dataclass
@@ -29,9 +33,6 @@ class ExactDistribution:
     n: int
     probs: np.ndarray
     log_z: float
-
-    def prob(self, mask):
-        return float(self.probs[mask])
 
     def log_prob(self, mask):
         p = self.probs[mask]
@@ -44,9 +45,6 @@ class TransitionMatrix:
     n: int
     states: list
     P: np.ndarray
-
-    def index_of(self, mask):
-        return self.states.index(mask)
 
 
 def _log_weights(measure: MeasureOracle, n):
@@ -212,7 +210,13 @@ def lumped_exchange_matrix(base: MeasureOracle, lump_tol=1e-12) -> TransitionMat
     n = base.n
     if n > 6:
         raise ValueError("lumped exchange matrices capped at n <= 6")
-    lw = _log_weights(SymmetricHomogenization(base), 2 * n)
+    # The homogenization is zero off its size-N shell, so only the shell is
+    # enumerated.
+    hom = SymmetricHomogenization(base)
+    lw = np.full(1 << 2 * n, NEG_INF)
+    for mask in range(1 << 2 * n):
+        if bin(mask).count("1") == n:
+            lw[mask] = hom.log_weight(SubsetState.from_bitmask(mask, 2 * n))
     r_states, bits = _states(lw, 2 * n, n)
 
     # Sum each exchange row over the R with the same projection S, then
@@ -234,61 +238,47 @@ def lumped_exchange_matrix(base: MeasureOracle, lump_tol=1e-12) -> TransitionMat
                             P=lumped_rows[first])
 
 
-def total_variation(p, q):
-    return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
+def tv_mixing_times_all(tm: TransitionMatrix, dist: ExactDistribution,
+                        eps_list):
+    """First TV crossing for every start state and each eps.
 
-
-def tv_mixing_time(tm: TransitionMatrix, dist: ExactDistribution, s0_mask,
-                   eps, max_steps=10**7):
-    """Smallest t with TV(delta_{S0} P^t', pi) <= eps for all t' in [t, 10 t]."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    pi = restrict_distribution(dist, tm.states)
-    p = np.zeros(len(tm.states))
-    p[tm.index_of(s0_mask)] = 1.0
-    tvs = [total_variation(p, pi)]
-    first = 0 if tvs[0] <= eps else None
-    t = 0
-    while True:
-        if first is not None and t >= 10 * max(first, 1):
-            break
-        if t >= max_steps:
-            raise ArithmeticError(f"no TV crossing within {max_steps} steps")
-        p = p @ tm.P
-        t += 1
-        tvs.append(total_variation(p, pi))
-        if first is None and tvs[-1] <= eps:
-            first = t
-    # Last t after which TV stays below eps in the examined window.
-    tvs = np.array(tvs)
-    above = np.flatnonzero(tvs > eps)
-    return int(above[-1] + 1) if above.size else 0
-
-
-def tv_mixing_times_all(tm: TransitionMatrix, dist: ExactDistribution, eps_list,
-                        max_steps=10**6):
-    """First TV crossing for every start state and each eps, via matrix powers.
-
-    Returns {eps: array of crossing times indexed like tm.states}. The chains
-    here are lazy (hence have nonnegative spectrum), so TV is monotone and the
-    first crossing is the mixing time.
+    Returns {eps: int64 array of crossing times indexed like tm.states}; each
+    eps must lie in (0, 1]. Because pi P = pi and a stochastic matrix
+    contracts total variation, TV(delta_S P^t, pi) never rises with t, so the
+    first crossing is the mixing time and can be found by bisection: square P
+    until every row of P^(2^J) is within the smallest eps, then walk the bits
+    of each crossing from the top down. Raises ArithmeticError if a crossing
+    would need more than MAX_MIX_STEPS steps.
     """
+    if any(not 0.0 < eps <= 1.0 for eps in eps_list):
+        raise ValueError("eps must be in (0, 1]")
+    if not eps_list:
+        return {}
     pi = restrict_distribution(dist, tm.states)
-    M = np.eye(len(tm.states))
-    eps_list = sorted(eps_list, reverse=True)
-    out = {eps: np.full(len(tm.states), -1, dtype=np.int64) for eps in eps_list}
-    t = 0
-    while True:
-        tv = 0.5 * np.sum(np.abs(M - pi[None, :]), axis=1)
-        for eps in eps_list:
-            hit = (tv <= eps) & (out[eps] < 0)
-            out[eps][hit] = t
-        if all((out[eps] >= 0).all() for eps in eps_list):
-            return out
-        if t >= max_steps:
-            raise ArithmeticError(f"no TV crossing within {max_steps} steps")
-        M = M @ tm.P
-        t += 1
+
+    def tv(M):
+        return 0.5 * np.sum(np.abs(M - pi[None, :]), axis=1)
+
+    powers = [tm.P]
+    while tv(powers[-1]).max() > min(eps_list):
+        if 1 << len(powers) > MAX_MIX_STEPS:
+            raise ArithmeticError(
+                f"no TV crossing within {MAX_MIX_STEPS} steps")
+        powers.append(powers[-1] @ powers[-1])
+    start_tv = tv(np.eye(len(tm.states)))
+    out = {}
+    for eps in eps_list:
+        # Largest t < 2^(J-1) with TV above eps, one bit at a time; the top
+        # power is within every eps by construction.
+        M = np.eye(len(tm.states))
+        t = np.zeros(len(tm.states), dtype=np.int64)
+        for j in range(len(powers) - 2, -1, -1):
+            step = M @ powers[j]
+            above = tv(step) > eps
+            M[above] = step[above]
+            t[above] += 1 << j
+        out[eps] = np.where(start_tv <= eps, 0, t + 1)
+    return out
 
 
 def check_log_submodular(measure: MeasureOracle, n=None):

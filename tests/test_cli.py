@@ -182,6 +182,18 @@ class TestCheck:
         assert len(calls) == builds
         assert calls.count(True) == (4 if flags else 0)
 
+    @pytest.mark.parametrize("eps", [[0.0], "0.05", []])
+    def test_bad_eps_rejected_before_enumerating(self, tmp_path, monkeypatch,
+                                                 capsys, eps):
+        calls = []
+        monkeypatch.setattr(exact, "enumerate_distribution",
+                            lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path, {"eps": eps})
+        assert main(["check", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "eps" in capsys.readouterr().err
+        assert calls == []
+
     def test_configured_measure(self, tmp_path):
         cfg = write_config(tmp_path, {
             "measure": {"kind": "table", "weights": [1, 2, 3, 6]},

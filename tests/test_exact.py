@@ -11,11 +11,9 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     detailed_balance_check, enumerate_distribution,
                     exact_marginals, lumped_exchange_matrix,
                     stationarity_check, step_add_delete, step_exchange,
-                    step_projection, transition_matrix, tv_mixing_time,
-                    tv_mixing_times_all)
+                    step_projection, transition_matrix, tv_mixing_times_all)
 from srmcmc.chains import initial_state
-from srmcmc.exact import (TransitionMatrix, restrict_distribution,
-                          total_variation)
+from srmcmc.exact import TransitionMatrix, restrict_distribution
 from srmcmc.measures import NEG_INF
 
 from conftest import fixture_suite, random_psd_fixture, uniform_table
@@ -151,7 +149,7 @@ class TestLumping:
         # base pi = (0.3, 0.7); homogenized exchange accepts the downward
         # swap with probability 3/7, picked with probability 1/2.
         tm = lumped_exchange_matrix(TableMeasure([0.3, 0.7]))
-        i0, i1 = tm.index_of(0b0), tm.index_of(0b1)
+        i0, i1 = tm.states.index(0b0), tm.states.index(0b1)
         assert tm.P[i1, i0] == pytest.approx(3 / 14)
         assert tm.P[i1, i1] == pytest.approx(1 - 3 / 14)
         assert tm.P[i0, i1] == pytest.approx(0.5)
@@ -170,6 +168,20 @@ class TestLumping:
             lumped_exchange_matrix(ProductMeasure([0.3, 0.8, 0.5]),
                                    lump_tol=-1.0)
 
+    def test_homogenization_enumerated_on_its_shell(self, monkeypatch):
+        seen = []
+        original = SymmetricHomogenization.log_weight
+
+        def counted(self, R):
+            seen.append(R.bitmask())
+            return original(self, R)
+
+        monkeypatch.setattr(SymmetricHomogenization, "log_weight", counted)
+        lumped_exchange_matrix(ProductMeasure([0.3, 0.8, 0.5, 0.6]))
+        shell = [m for m in range(1 << 8) if bin(m).count("1") == 4]
+        assert len(shell) == math.comb(8, 4) == 70
+        assert seen == shell
+
     def test_homogenization_marginalizes_to_base(self):
         base = ProductMeasure([0.3, 0.8, 0.5])
         n = base.n
@@ -182,26 +194,24 @@ class TestLumping:
 
 
 class TestMixingTimes:
-    def test_total_variation_identities(self):
-        p = np.array([0.2, 0.8])
-        assert total_variation(p, p) == 0.0
-        assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
-
     def test_single_element_projection_mixes_in_one_step(self):
         m = TableMeasure([0.5, 0.5])
         tm = transition_matrix(m, "projection")
         dist = enumerate_distribution(m)
-        assert tv_mixing_time(tm, dist, 0b0, 0.05) == 1
+        mix = tv_mixing_times_all(tm, dist, [0.05])
+        assert mix[0.05][tm.states.index(0b0)] == 1
 
-    def test_windowed_matches_first_crossing_for_lazy_chain(self):
+    def test_crossing_is_first_step_within_eps(self):
         m = ProductMeasure([0.3, 0.8, 0.5, 0.6])
         dist = enumerate_distribution(m)
         tm = transition_matrix(m, "add-delete")
-        batched = tv_mixing_times_all(tm, dist, [0.05, 0.01])
+        pi = restrict_distribution(dist, tm.states)
+        mix = tv_mixing_times_all(tm, dist, [0.05, 0.01])
         for eps in (0.05, 0.01):
-            for idx, s0 in enumerate(tm.states):
-                assert tv_mixing_time(tm, dist, s0, eps) == \
-                    batched[eps][idx]
+            for idx, t in enumerate(mix[eps]):
+                tv = [0.5 * np.abs(np.linalg.matrix_power(tm.P, s)[idx]
+                                   - pi).sum() for s in (t - 1, t)]
+                assert tv[0] > eps >= tv[1]
 
     def test_smaller_eps_never_faster(self):
         m = LEnsemble(np.diag([2.0, 3.0, 1.5]))
@@ -214,8 +224,23 @@ class TestMixingTimes:
         m = TableMeasure([0.5, 0.5])
         tm = transition_matrix(m, "projection")
         dist = enumerate_distribution(m)
-        with pytest.raises(ValueError):
-            tv_mixing_time(tm, dist, 0b0, 0.0)
+        for eps in (0.0, -0.1):
+            with pytest.raises(ValueError, match="eps"):
+                tv_mixing_times_all(tm, dist, [eps])
+
+    def test_empty_eps_list(self):
+        m = TableMeasure([0.5, 0.5])
+        tm = transition_matrix(m, "projection")
+        assert tv_mixing_times_all(tm, enumerate_distribution(m), []) == {}
+
+    def test_identity_chain_never_crosses(self):
+        """Add-delete leaves a k-conditioned measure's shell, so its matrix
+        is the identity and no start reaches pi."""
+        m = CardinalityConditionedMeasure(ProductMeasure([0.5] * 4), 2)
+        tm = transition_matrix(m, "add-delete")
+        assert np.array_equal(tm.P, np.eye(6))
+        with pytest.raises(ArithmeticError, match="no TV crossing"):
+            tv_mixing_times_all(tm, enumerate_distribution(m), [0.05])
 
     def test_restrict_zero_mass_rejected(self):
         m = CardinalityConditionedMeasure(ProductMeasure([0.5, 0.5]), 1)
@@ -353,9 +378,34 @@ def loop_lumped_exchange_matrix(base):
     return TransitionMatrix(n=n, states=base_states, P=lumped)
 
 
+def loop_tv_mixing_times_all(tm, dist, eps_list, max_steps=10**6):
+    """First TV crossing for every start, one multiplication by P per step."""
+    pi = restrict_distribution(dist, tm.states)
+    M = np.eye(len(tm.states))
+    eps_list = sorted(eps_list, reverse=True)
+    out = {eps: np.full(len(tm.states), -1, dtype=np.int64) for eps in eps_list}
+    t = 0
+    while True:
+        tv = 0.5 * np.sum(np.abs(M - pi[None, :]), axis=1)
+        for eps in eps_list:
+            hit = (tv <= eps) & (out[eps] < 0)
+            out[eps][hit] = t
+        if all((out[eps] >= 0).all() for eps in eps_list):
+            return out
+        if t >= max_steps:
+            raise ArithmeticError(f"no TV crossing within {max_steps} steps")
+        M = M @ tm.P
+        t += 1
+
+
 REFERENCE_CASES = [(f"{name}-{n}", m) for n in range(1, 7)
                    for name, m in fixture_suite(n)] + [
     ("zero-weight-table", TableMeasure(np.r_[0.0, np.arange(1, 32) % 5]))]
+
+
+MIXING_CASES = [(f"{name}-{n}", m) for n in range(1, 9)
+                for name, m in fixture_suite(n)] + REFERENCE_CASES[-1:]
+MIXING_EPS = [0.25, 0.05, 0.01, 0.001]
 
 
 def assert_same_matrix(got, want):
@@ -389,6 +439,28 @@ class TestLoopReferences:
                 transition_matrix(measure, "exchange", cardinality=k), want)
             shells += 1
         assert shells >= 1
+
+    @pytest.mark.parametrize("name,measure", MIXING_CASES)
+    def test_mixing_times_match_loop(self, name, measure):
+        dist = enumerate_distribution(measure)
+        tms = [transition_matrix(measure, "projection")]
+        # Add-delete leaves a k-conditioned measure's shell: P = I.
+        if not name.startswith("k-conditioned"):
+            tms.append(transition_matrix(measure, "add-delete"))
+        if measure.n <= 6:
+            for k in range(measure.n + 1):
+                try:
+                    tms.append(transition_matrix(measure, "exchange",
+                                                 cardinality=k))
+                except ValueError:
+                    pass
+        for tm in tms:
+            got = tv_mixing_times_all(tm, dist, MIXING_EPS)
+            want = loop_tv_mixing_times_all(tm, dist, MIXING_EPS)
+            assert got.keys() == want.keys()
+            for eps in MIXING_EPS:
+                assert got[eps].dtype == np.int64
+                assert np.array_equal(got[eps], want[eps]), eps
 
     @pytest.mark.parametrize("name,measure",
                              [c for c in REFERENCE_CASES if c[1].n <= 5])
