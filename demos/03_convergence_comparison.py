@@ -6,9 +6,14 @@ scale reduction factor (PSRF) of the sample cardinality drops below 1.05
 (a crossing at the first checkpoint is reported as censored, since it only
 bounds the crossing from above):
 
-* an RBF kernel, where the less lazy add-delete chain crosses first, and
-* a two-level spectrum kernel (half the eigenvalues huge, half tiny), the
-  adversarial family for single-site chains.
+* an RBF kernel, and
+* a two-level spectrum kernel (half the eigenvalues huge, half tiny).
+
+It closes by ordering the two chains on each kernel where both crossings are
+uncensored, and says so where they are not. Every stream starts at the
+heaviest singleton, so R-hat on |S| can fall below 1.05 before the chains
+have mixed; criterion 6 of the acceptance suite uses distinct starts and
+every element indicator to resolve the ordering on the two-level spectrum.
 
 Run:  python3 demos/03_convergence_comparison.py
 """
@@ -26,12 +31,15 @@ kernels = [
 
 steps, thin, n_chains = 100_000, 10, 8
 print(f"{n_chains} chains x {steps} steps, PSRF on |S|, threshold 1.05\n")
+orderings = []
 for label, m in kernels:
     print(label)
+    hits = {}
     for kind in ("add-delete", "projection"):
         spec = ChainSpec(kind, steps=steps, thin=thin, seed=2024)
         trs = run_chains(m, spec, n_chains)
-        hit = first_crossing(psrf_curve(extract_summary(trs, "cardinality")))
+        hit = hits[kind] = first_crossing(
+            psrf_curve(extract_summary(trs, "cardinality")))
         if hit is None:
             shown = "threshold never reached"
         elif hit[1]:
@@ -41,7 +49,20 @@ for label, m in kernels:
             shown = f"threshold reached after {hit[0] * thin:,} iterations"
         print(f"  {kind:>10}: {shown}")
     print()
+    ad, pr = hits["add-delete"], hits["projection"]
+    if ad is None or pr is None or ad[1] or pr[1]:
+        verdict = "no ordering (a censored or missing crossing times nothing)"
+    elif ad[0] == pr[0]:
+        verdict = "both chains crossed at the same checkpoint"
+    else:
+        verdict = ("add-delete" if ad[0] < pr[0] else "projection") \
+            + " crossed first"
+    orderings.append(f"  {label}: {verdict}")
 
-print("The projection chain pays for its branch laziness on easy kernels but")
-print("its guarantees do not degrade on the two-level spectrum; compare the")
-print("per-statistic crossings in comparison.csv from `srmcmc compare`.")
+print("What this run measured:")
+print("\n".join(orderings))
+print("All streams start at the heaviest singleton, so R̂ on |S| can drop")
+print("below 1.05 before the chains mix. Criterion 6 in")
+print("tests/test_acceptance.py starts each stream from a distinct random set,")
+print("monitors every element indicator, and resolves the ordering on the")
+print("two-level spectrum: the projection chain crosses before add-delete.")

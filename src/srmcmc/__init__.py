@@ -21,7 +21,6 @@ from .exact import (ExactDistribution, TransitionMatrix,
                     lumped_exchange_matrix, stationarity_check,
                     transition_matrix, tv_mixing_times_all)
 from .diagnostics import (empirical_marginals, extract_summary,
-                          first_crossing, iterations_to_threshold, psrf,
-                          psrf_curve)
+                          first_crossing, psrf, psrf_curve)
 
 __version__ = "0.1.0"

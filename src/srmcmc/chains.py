@@ -7,9 +7,10 @@ add, delete, and exchange moves with cardinality-dependent branch widths.
 The printed form of the projection chain's delete acceptance uses the factor
 |S| / (N - |S| + 1); deriving the move from the exchange chain on the
 symmetric homogenization gives the reciprocal (N - |S| + 1) / |S|, and only
-the latter leaves the target measure stationary (see the exact-verification
-tests). The corrected factor is the default; the literal variant stays
-available behind ``paper_literal_delete`` for demonstration.
+the latter leaves the target measure stationary, so the chain uses it. The
+literal factor is kept only in the exact oracle, as a demonstration: the
+literal-delete flag of ``exact.transition_matrix`` builds its matrix, and
+``srmcmc check --paper-literal-delete`` shows that it is not stationary.
 
 Every step is one Metropolis move: a stepper draws a proposal and its ratio
 from the oracle, and :func:`_metropolis` accepts it with probability
@@ -20,7 +21,6 @@ cache, keeps it in step without the chain loop knowing which measure it runs.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -138,16 +138,7 @@ def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
     return _metropolis(S, rng, "swap", measure.swap_ratio(S, s, t), s=s, t=t)
 
 
-def projection_branch_widths(n, k):
-    """(add, exchange, delete) branch probabilities at cardinality k."""
-    add = (n - k) ** 2 / (2.0 * n * n)
-    exch = k * (n - k) / (2.0 * n * n)
-    dele = k * k / (2.0 * n * n)
-    return add, exch, dele
-
-
-def step_projection(measure: MeasureOracle, S: SubsetState, rng,
-                    paper_literal_delete=False):
+def step_projection(measure: MeasureOracle, S: SubsetState, rng):
     """One step of the projection chain.
 
     Draw q uniform, then only the elements the chosen branch needs, in the
@@ -170,12 +161,9 @@ def step_projection(measure: MeasureOracle, S: SubsetState, rng,
                            s=s, t=t)
     if q < (k * k + n * (n - k)) / n2:
         s = int(S.indices()[rng.integers(k)])
-        if paper_literal_delete:
-            factor = k / (n - k + 1)
-        else:
-            factor = (n - k + 1) / k
         return _metropolis(S, rng, "delete",
-                           measure.delete_ratio(S, s) * factor, s=s)
+                           measure.delete_ratio(S, s) * ((n - k + 1) / k),
+                           s=s)
     return S, HOLD
 
 
@@ -199,8 +187,7 @@ def initial_state(measure: MeasureOracle, spec: ChainSpec, rng) -> SubsetState:
     raise ValueError(f"random-positive init failed after {n * n} attempts")
 
 
-def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0,
-              paper_literal_delete=False) -> Transcript:
+def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
     """Run one chain; deterministic given (spec.seed, stream).
 
     Applies ``burn_in`` steps, then records the state after every ``thin``-th
@@ -212,13 +199,8 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0,
     oracle = measure.chain_oracle(S, stream)
     # Chosen per call from the module globals, so that a stepper replaced at
     # run time (a tracer, a test double) is the one that runs.
-    if spec.kind == "add-delete":
-        step = step_add_delete
-    elif spec.kind == "exchange":
-        step = step_exchange
-    else:
-        step = functools.partial(step_projection,
-                                 paper_literal_delete=paper_literal_delete)
+    step = {"add-delete": step_add_delete, "exchange": step_exchange,
+            "projection": step_projection}[spec.kind]
 
     tr = Transcript(n=measure.n, chain_kind=spec.kind, seed=spec.seed,
                     stream=stream)
@@ -243,11 +225,9 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0,
     return tr
 
 
-def run_chains(measure, spec, n_chains, paper_literal_delete=False):
+def run_chains(measure, spec, n_chains):
     """Run n_chains independent chains on per-chain streams of the same seed."""
-    return [run_chain(measure, spec, stream=c,
-                      paper_literal_delete=paper_literal_delete)
-            for c in range(n_chains)]
+    return [run_chain(measure, spec, stream=c) for c in range(n_chains)]
 
 
 def theorem_bound(n, s0_cardinality, log_pi_s0, eps):

@@ -240,15 +240,19 @@ def _fixture_suite(seed):
     return suite
 
 
+def _is_eps(e):
+    """True for one number in (0, 1]; booleans are not numbers here."""
+    return (isinstance(e, (int, float)) and not isinstance(e, bool)
+            and 0.0 < e <= 1.0)
+
+
 def cmd_check(args):
     cfg = load_config(args.config)
     seed = resolve_seed(args, cfg)
     eps_list = cfg.get("eps", [0.05, 0.01])
     if not isinstance(eps_list, list):
         eps_list = [eps_list]
-    if not eps_list or any(isinstance(e, bool)
-                           or not isinstance(e, (int, float))
-                           or not 0.0 < e <= 1.0 for e in eps_list):
+    if not eps_list or not all(map(_is_eps, eps_list)):
         raise ConfigError(
             f"eps must be a nonempty list of numbers in (0, 1], got "
             f"{cfg['eps']!r}")
@@ -311,7 +315,10 @@ def cmd_bound(args):
     seed = resolve_seed(args, cfg)
     bcfg = cfg.get("bound", {})
     _require_keys(bcfg, {"S0", "eps", "log_pi_S0"}, "bound")
-    eps = float(bcfg.get("eps", cfg.get("eps", 0.05)))
+    eps = bcfg.get("eps", cfg.get("eps", 0.05))
+    if not _is_eps(eps):
+        raise ConfigError(f"eps must be one number in (0, 1], got {eps!r}")
+    eps = float(eps)
     measure = build_measure(cfg["measure"], seed)
     n = measure.n
     s0 = bcfg.get("S0")
@@ -328,12 +335,12 @@ def cmd_bound(args):
     if log_pi == measures.NEG_INF:
         print("error: start set has zero probability", file=sys.stderr)
         return 2
-    if eps >= 1.0:
-        print("warning: eps >= 1 makes the bound degenerate", file=sys.stderr)
+    if eps == 1.0:
+        print("warning: eps = 1 makes the bound degenerate", file=sys.stderr)
     k0 = S0.cardinality
     log_choose = measures.log_binomial(n, k0)
     tb = chains.theorem_bound(n, k0, log_pi, eps)
-    eb = exchange = chains.exchange_bound(n, 2 * n, log_pi, eps)
+    eb = chains.exchange_bound(n, 2 * n, log_pi, eps)
     lines = [
         f"N = {n}, |S0| = {k0}, log pi(S0) = {log_pi:.6f}, eps = {eps}",
         f"  term log C(N,|S0|)   = {log_choose:.6f}",
@@ -347,7 +354,7 @@ def cmd_bound(args):
     out.mkdir(parents=True, exist_ok=True)
     (out / "bound.json").write_text(json.dumps({
         "n": n, "s0": sorted(s0), "log_pi_s0": log_pi, "eps": eps,
-        "theorem_bound": tb, "exchange_bound": exchange,
+        "theorem_bound": tb, "exchange_bound": eb,
     }, indent=2))
     return 0
 

@@ -2,8 +2,9 @@
 
 Plain (non-split) Gelman-Rubin potential scale reduction factor, scalar
 summary extraction, empirical marginals, and the iterations-to-threshold
-protocol: several parallel chains, convergence declared once the PSRF of the
-monitored statistic drops below a threshold (default 1.05); a crossing at the
+protocol: run several parallel chains and take the first point of the
+monitored statistic's PSRF curve at or below a threshold (default 1.05),
+``first_crossing(psrf_curve(extract_summary(...)))``. A crossing at the
 first checkpoint is flagged as censored.
 """
 from __future__ import annotations
@@ -93,19 +94,6 @@ def psrf_curve(series, stride=None):
     return [(int(stop), float(v)) for stop, v in zip(stops, r)]
 
 
-def iterations_to_threshold(transcripts, statistic, threshold=DEFAULT_THRESHOLD,
-                            window_stride=None):
-    """Smallest retained-step count n with PSRF over the first n values <= threshold.
-
-    Evaluated at stride multiples; None if the threshold is never reached.
-    """
-    if threshold <= 1.0:
-        raise ValueError("threshold must exceed 1")
-    series = extract_summary(transcripts, statistic)
-    hit = first_crossing(psrf_curve(series, stride=window_stride), threshold)
-    return None if hit is None else hit[0]
-
-
 def first_crossing(curve, threshold=DEFAULT_THRESHOLD):
     """(stop, censored) at the first point of a :func:`psrf_curve` with R-hat
     <= threshold, or None if there is none.
@@ -113,7 +101,10 @@ def first_crossing(curve, threshold=DEFAULT_THRESHOLD):
     ``censored`` is True when that point is the curve's first checkpoint: R-hat
     was already below the threshold there, so the stop only bounds the
     crossing from above and says nothing about how fast the chains mixed.
+    ``threshold`` must exceed 1, the value R-hat tends to as chains converge.
     """
+    if not threshold > 1.0:
+        raise ValueError(f"threshold must exceed 1, got {threshold!r}")
     for k, (stop, r) in enumerate(curve):
         if r <= threshold:
             return stop, k == 0

@@ -71,10 +71,6 @@ class LEnsemble(MeasureOracle):
         self._check(S)
         return dpp_log_weight(self.L, S)
 
-    def make_cache(self, S: SubsetState) -> "CholeskyCache":
-        """Fresh per-chain incremental inverse of L_S for the current state."""
-        return CholeskyCache(self.L, S.indices())
-
     def chain_oracle(self, S: SubsetState, stream=0) -> "_CachedDppOracle":
         """A per-chain oracle backed by a fresh inverse cache of L_S."""
         return _CachedDppOracle(self, S, stream)
@@ -87,8 +83,8 @@ class LEnsemble(MeasureOracle):
 
 
 def dpp_log_weight(L, S: SubsetState) -> float:
-    """log det(L_S); 0 for the empty set, -inf for a singular minor."""
-    L = getattr(L, "L", L)
+    """log det(L_S) for a matrix L; 0 for the empty set, -inf for a
+    singular minor."""
     if S.cardinality == 0:
         return 0.0
     m = S.membership
@@ -146,7 +142,7 @@ class CholeskyCache:
     PIVOT_TOL = 1e-12
 
     def __init__(self, L, indices=()):
-        self.L = np.asarray(getattr(L, "L", L), dtype=float)
+        self.L = np.asarray(L, dtype=float)
         self._idx = np.empty(self.L.shape[0], dtype=np.intp)
         self._pos = {}
         self.size = 0
@@ -275,21 +271,21 @@ class _CachedDppOracle(MeasureOracle):
     """Per-chain oracle that reads ratios from the cache's maintained inverse
     of L_S; the cache forms a Cholesky factor only when it rebuilds.
 
+    Like its ratios, ``log_weight`` answers for the chain's current state,
+    whatever state it is passed: it returns the cache's running log det(L_S).
+
     An accepted move that leaves the cache flagged (its rebuild found L_S
     numerically singular) raises ``ArithmeticError`` naming the stream, so
     the chain does not run on with zero ratios.
     """
 
     def __init__(self, measure: LEnsemble, S: SubsetState, stream):
-        self.measure = measure
         self.n = measure.n
         self.stream = stream
-        self.cache = measure.make_cache(S)
+        self.cache = CholeskyCache(measure.L, S.indices())
 
     def log_weight(self, S):
-        if S.cardinality == self.cache.size:
-            return self.cache.log_det
-        return self.measure.log_weight(S)
+        return self.cache.log_det
 
     def add_ratio(self, S, t):
         return self.cache.add_ratio(t)

@@ -54,9 +54,9 @@ def _log_weights(measure: MeasureOracle, n):
     return lw
 
 
-def enumerate_distribution(measure: MeasureOracle, n=None) -> ExactDistribution:
+def enumerate_distribution(measure: MeasureOracle) -> ExactDistribution:
     """Exact normalized distribution by full enumeration; n <= 20."""
-    n = measure.n if n is None else n
+    n = measure.n
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}, got {n}")
     lw = _log_weights(measure, n)
@@ -281,14 +281,14 @@ def tv_mixing_times_all(tm: TransitionMatrix, dist: ExactDistribution,
     return out
 
 
-def check_log_submodular(measure: MeasureOracle, n=None):
+def check_log_submodular(measure: MeasureOracle):
     """Exhaustive check of log pi(S) + log pi(T) >= log pi(S|T) + log pi(S&T).
 
     Scans all pairs with positive weights; returns (holds, worst_slack,
     witness) where worst_slack is the minimum of LHS - RHS and witness is a
     minimizing (S_mask, T_mask) pair.
     """
-    n = measure.n if n is None else n
+    n = measure.n
     if n > 12:
         raise ValueError("log-submodularity check capped at n <= 12")
     lw = _log_weights(measure, n)

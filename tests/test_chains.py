@@ -9,7 +9,7 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     ProductMeasure, SubsetState, TableMeasure, chain_rng,
                     exchange_bound, run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
-from srmcmc.chains import initial_state, projection_branch_widths
+from srmcmc.chains import initial_state
 from srmcmc.dpp import rbf_kernel, spectrum_step_kernel
 from srmcmc.measures import MeasureOracle, log_binomial
 
@@ -98,12 +98,8 @@ class TestProjectionStep:
         reps = 1_000_000
         counts = Counter(step_projection(m, st, rng)[1].kind
                          for _ in range(reps))
-        widths = dict(zip(("add", "swap", "delete"),
-                          projection_branch_widths(4, 1)))
-        widths["hold"] = 1.0 - sum(widths.values())
-        assert widths["add"] == pytest.approx(9 / 32)
-        assert widths["swap"] == pytest.approx(3 / 32)
-        assert widths["delete"] == pytest.approx(1 / 32)
+        widths = {"add": 9 / 32, "swap": 3 / 32, "delete": 1 / 32,
+                  "hold": 19 / 32}
         for kind, w in widths.items():
             se = math.sqrt(w * (1 - w) / reps)
             assert abs(counts[kind] / reps - w) < 4 * se, kind
@@ -126,18 +122,6 @@ class TestProjectionStep:
             if out.kind == "delete":
                 assert out.acceptance_prob == pytest.approx(1.0)
                 assert out.accepted
-
-    def test_paper_literal_delete_factor(self, rng):
-        # Literal factor gives min{1, (1/2) * (1/2)} = 1/4 for the same move.
-        m = LEnsemble(np.diag([2.0, 3.0]))
-        st = S([0], 2)
-        seen = False
-        for _ in range(400):
-            _, out = step_projection(m, st, rng, paper_literal_delete=True)
-            if out.kind == "delete":
-                assert out.acceptance_prob == pytest.approx(0.25)
-                seen = True
-        assert seen
 
 
 class TestRunChain:

@@ -227,12 +227,33 @@ class TestBound:
         want = 2 * 16 * (math.log(6) + math.log(16) + math.log(100))
         assert report["theorem_bound"] == pytest.approx(want)
 
+    @pytest.mark.parametrize("where", ["top", "bound"])
+    @pytest.mark.parametrize("eps", [[0.05], "0.05", True])
+    def test_bad_eps_rejected(self, tmp_path, capsys, where, eps):
+        cfg = {"measure": {"kind": "product", "q": [0.5, 0.5]},
+               "bound": {"S0": [0]}}
+        (cfg if where == "top" else cfg["bound"])["eps"] = eps
+        assert main(["bound", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "eps" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_single_chain_rejected(self, tmp_path):
         cfg = product_config(tmp_path, steps=100, chains=1)
         assert main(["compare", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 1
+
+    def test_threshold_at_or_below_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.5, 0.5]},
+            "chain": {"steps": 100, "chains": 2},
+            "compare": {"threshold": 0.5},
+        })
+        out = tmp_path / "o"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
 
     def test_outputs_and_header(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -6,7 +6,7 @@ import pytest
 from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     ProductMeasure, SpectralSampler, Transcript,
                     empirical_marginals, extract_summary, first_crossing,
-                    iterations_to_threshold, psrf, psrf_curve, run_chains)
+                    psrf, psrf_curve, run_chains)
 
 
 def constant_transcript(n, state, length, kind="add-delete"):
@@ -34,6 +34,10 @@ def iid_transcripts(measure, n_chains, length, seed=0):
             t.moves.append(None)
         out.append(t)
     return out
+
+
+def cardinality_curve(transcripts):
+    return psrf_curve(extract_summary(transcripts, "cardinality"))
 
 
 class TestPsrf:
@@ -99,33 +103,35 @@ class TestIterationsToThreshold:
     def test_iid_draws_converge_quickly(self):
         m = LEnsemble(np.diag([2.0, 3.0, 1.5, 0.7]))
         trs = iid_transcripts(m, 6, 2000, seed=3)
-        hit = iterations_to_threshold(trs, "cardinality")
-        assert hit is not None and hit <= 500
+        hit = first_crossing(cardinality_curve(trs))
+        assert hit is not None and hit[0] <= 500
 
     def test_stuck_chains_never_converge(self):
         trs = [constant_transcript(3, (0,), 1000),
                constant_transcript(3, (1, 2), 1000)]
-        assert iterations_to_threshold(trs, "cardinality") is None
+        assert first_crossing(cardinality_curve(trs)) is None
 
     def test_monotone_in_threshold(self):
         m = LEnsemble(np.diag([2.0, 3.0, 1.5, 0.7]))
-        trs = iid_transcripts(m, 4, 1000, seed=5)
-        loose = iterations_to_threshold(trs, "cardinality", threshold=1.2)
-        tight = iterations_to_threshold(trs, "cardinality", threshold=1.01)
-        assert loose is not None and tight is not None and loose <= tight
+        curve = cardinality_curve(iid_transcripts(m, 4, 1000, seed=5))
+        loose = first_crossing(curve, threshold=1.2)
+        tight = first_crossing(curve, threshold=1.01)
+        assert loose is not None and tight is not None
+        assert loose[0] <= tight[0]
 
     def test_infinite_threshold_hits_first_evaluation(self):
         m = LEnsemble(np.diag([2.0, 3.0]))
-        trs = iid_transcripts(m, 3, 400, seed=7)
-        hit = iterations_to_threshold(trs, "cardinality",
-                                      threshold=math.inf)
-        assert hit == 2  # first stride point with enough values
+        curve = cardinality_curve(iid_transcripts(m, 3, 400, seed=7))
+        # first stride point with enough values, censored by definition
+        assert first_crossing(curve, threshold=math.inf) == (2, True)
 
     def test_threshold_validation(self):
         m = LEnsemble(np.diag([2.0, 3.0]))
-        trs = iid_transcripts(m, 3, 10, seed=1)
-        with pytest.raises(ValueError):
-            iterations_to_threshold(trs, "cardinality", threshold=1.0)
+        curve = cardinality_curve(iid_transcripts(m, 3, 10, seed=1))
+        for threshold in (1.0, 0.5, math.nan):
+            for points in (curve, []):
+                with pytest.raises(ValueError, match="threshold"):
+                    first_crossing(points, threshold=threshold)
 
     def test_curve_prefixes_are_strided(self):
         rng = np.random.default_rng(2)
@@ -166,16 +172,6 @@ class TestFirstCrossing:
         assert first_crossing([(10, 1.3), (20, math.inf)]) is None
         assert first_crossing([]) is None
         assert first_crossing([(10, 1.04)], threshold=1.01) is None
-
-    def test_agrees_with_iterations_to_threshold(self):
-        m = LEnsemble(np.diag([2.0, 3.0, 1.5, 0.7]))
-        trs = iid_transcripts(m, 4, 1000, seed=5)
-        curve = psrf_curve(extract_summary(trs, "cardinality"))
-        for threshold in (1.01, 1.2, math.inf):
-            hit = first_crossing(curve, threshold)
-            assert iterations_to_threshold(trs, "cardinality",
-                                           threshold) == hit[0]
-        assert first_crossing(curve, math.inf) == (curve[0][0], True)
 
 
 class TestEmpiricalMarginals:

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from srmcmc import (KernelValidationError, LEnsemble, SpectralSampler,
-                    SubsetState, dpp_log_weight, enumerate_distribution,
-                    l_to_marginal, marginal_to_l, rbf_kernel,
-                    spectrum_step_kernel, validate_marginal_kernel)
+from srmcmc import (CholeskyCache, KernelValidationError, LEnsemble,
+                    SpectralSampler, SubsetState, dpp_log_weight,
+                    enumerate_distribution, l_to_marginal, marginal_to_l,
+                    rbf_kernel, spectrum_step_kernel,
+                    validate_marginal_kernel)
 from srmcmc.measures import NEG_INF
 
 from conftest import random_psd_fixture
@@ -88,12 +89,12 @@ class TestLogWeight:
 class TestSchurRatios:
     def test_hand_two_by_two(self):
         m = LEnsemble(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        cache = m.make_cache(S([0], 2))
+        cache = CholeskyCache(m.L, S([0], 2).indices())
         assert cache.add_ratio(1) == pytest.approx(0.75)
 
     def test_diagonal_add_ratio(self):
         m = LEnsemble(np.diag([2.0, 3.0, 0.5]))
-        cache = m.make_cache(S([0], 3))
+        cache = CholeskyCache(m.L, S([0], 3).indices())
         assert cache.add_ratio(1) == pytest.approx(3.0)
         assert cache.add_ratio(2) == pytest.approx(0.5)
 
@@ -110,7 +111,7 @@ class TestSchurRatios:
                 st = SubsetState.from_bitmask(mask, n)
                 if st.cardinality > rank or m.log_weight(st) == NEG_INF:
                     continue
-                cache = m.make_cache(st)
+                cache = CholeskyCache(m.L, st.indices())
                 inside = [int(i) for i in st.indices()]
                 outside = [t for t in range(n) if not st.contains(t)]
                 for t in outside:
@@ -129,22 +130,22 @@ class TestCholeskyCache:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((5, 5))
         m = LEnsemble(A @ A.T / 5)
-        cache = m.make_cache(S([0, 2], 5))
+        cache = CholeskyCache(m.L, S([0, 2], 5).indices())
         before = cache.log_det
         cache.apply_add(4)
         cache.apply_delete(4)
         assert cache.log_det == pytest.approx(before, abs=1e-9)
 
     def test_empty_cache(self):
-        cache = LEnsemble(np.eye(3)).make_cache(S([], 3))
+        cache = CholeskyCache(LEnsemble(np.eye(3)).L, S([], 3).indices())
         assert cache.log_det == 0.0
         assert cache.inv.shape == (0, 0)
 
     def test_singular_add_flags_cache(self):
         # Element 3 has a zero row: it lies in the span of every S, so
         # L_{S+3} is exactly singular and the rebuild after the add fails.
-        cache = LEnsemble(np.diag([1.0, 2.0, 3.0, 0.0])).make_cache(
-            S([0, 2], 4))
+        m = LEnsemble(np.diag([1.0, 2.0, 3.0, 0.0]))
+        cache = CholeskyCache(m.L, S([0, 2], 4).indices())
         assert cache.add_ratio(3) == 0.0
         cache.apply_add(3)
         assert cache.flagged and cache.log_det == NEG_INF
@@ -155,7 +156,7 @@ class TestCholeskyCache:
         n = 40
         A = rng.standard_normal((n, n))
         m = LEnsemble(A @ A.T / n)
-        cache = m.make_cache(S([], n))
+        cache = CholeskyCache(m.L, S([], n).indices())
         cur = set()
         accepted = 0
         while accepted < 10_000:
