@@ -1,9 +1,11 @@
 """Command-line surface: sample, exact, check, bound, compare.
 
 All commands take a JSON config (``--config``) and an output directory
-(``--out``). Unknown config keys are rejected so that misspelled knobs cannot
-be silently ignored. Seed precedence: ``--seed`` flag, then the SR_MCMC_SEED
-environment variable, then the config value.
+(``--out``). Each runs in one pass: :func:`main` reads the config and the
+seed (``--seed``, else ``chain.seed``, else 0), the command checks every input
+and then does its work, and the output directory is made at the first write,
+so a rejected config leaves nothing behind. Unknown config keys are rejected
+so that misspelled knobs cannot be silently ignored.
 
 Exit codes: 0 success, 1 invalid config or size limits, 2 numeric or
 validation failure (including failed checks).
@@ -14,15 +16,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import chains, diagnostics, dpp, exact, measures
-
-ENV_SEED = "SR_MCMC_SEED"
 
 MEASURE_KINDS = ("dpp-L", "dpp-K", "product", "product-k", "table")
 MEASURE_KEYS = {
@@ -70,7 +69,7 @@ def load_kernel_csv(path):
         raise ConfigError(f"{path}: kernel must be square")
     M = np.array(rows)
     asym = float(np.max(np.abs(M - M.T)))
-    if asym > 1e-8:
+    if asym > dpp.SYMMETRY_TOL:
         i, j = np.unravel_index(np.argmax(np.abs(M - M.T)), M.shape)
         raise ConfigError(
             f"{path}: asymmetric at row {i + 1}, col {j + 1} (|diff|={asym:.3e})")
@@ -135,14 +134,14 @@ def build_measure(mcfg, seed):
     return measures.TableMeasure(mcfg["weights"])
 
 
-def build_chain_spec(ccfg, kind=None, seed=None):
+def build_chain_spec(ccfg, seed, kind=None):
     _require_keys(ccfg, CHAIN_KEYS, "chain")
     return chains.ChainSpec(
         kind=kind or ccfg.get("kind", "projection"),
         steps=int(ccfg["steps"]),
         burn_in=int(ccfg.get("burn_in", 0)),
         thin=int(ccfg.get("thin", 1)),
-        seed=int(seed if seed is not None else ccfg.get("seed", 0)),
+        seed=seed,
         init=ccfg.get("init", "heaviest-singleton"),
         init_set=tuple(ccfg["init_set"]) if "init_set" in ccfg else None,
     )
@@ -154,78 +153,69 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(cfg, TOP_KEYS, "config")
+    for key in TOP_KEYS - {"eps"}:
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object")
     return cfg
 
 
-def resolve_seed(args, cfg):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        return int(env)
-    return int(cfg.get("chain", {}).get("seed", 0))
+def _create(path):
+    """Open ``path`` for writing, making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
 
 
-def transcript_records(tr):
-    for step, state, logw, move in zip(tr.steps, tr.states, tr.log_weights,
-                                       tr.moves):
-        kind = {"add": "add", "delete": "del", "swap": "swap",
-                "hold": "hold"}[move.kind]
-        yield {"step": step, "set": sorted(state), "logw": logw,
-               "move": kind, "accepted": bool(move.accepted)}
+def _write_report(path, report, text=None):
+    """Write ``report`` as JSON to ``path`` and print ``text``, by default
+    the JSON itself."""
+    body = json.dumps(report, indent=2)
+    with _create(path) as fh:
+        fh.write(body)
+    print(body if text is None else text)
+
+
+def _write_csv(path, header, rows):
+    with _create(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_transcript(path, tr):
-    with open(path, "w") as fh:
-        for rec in transcript_records(tr):
-            fh.write(json.dumps(rec) + "\n")
+    with _create(path) as fh:
+        for step, state, logw, move in zip(tr.steps, tr.states,
+                                           tr.log_weights, tr.moves):
+            fh.write(json.dumps({
+                "step": step, "set": sorted(state), "logw": logw,
+                "move": "del" if move.kind == "delete" else move.kind,
+                "accepted": bool(move.accepted)}) + "\n")
 
 
-def cmd_sample(args):
-    cfg = load_config(args.config)
-    seed = resolve_seed(args, cfg)
+def cmd_sample(args, cfg, seed, out):
     measure = build_measure(cfg["measure"], seed)
     ccfg = cfg.get("chain", {})
-    spec = build_chain_spec(ccfg, seed=seed)
-    n_chains = int(ccfg.get("chains", 1))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for c in range(n_chains):
+    spec = build_chain_spec(ccfg, seed)
+    for c in range(int(ccfg.get("chains", 1))):
         tr = chains.run_chain(measure, spec, stream=c)
         write_transcript(out / f"chain_{c:02d}.jsonl", tr)
     return 0
 
 
-def cmd_exact(args):
-    cfg = load_config(args.config)
-    seed = resolve_seed(args, cfg)
+def cmd_exact(args, cfg, seed, out):
     measure = build_measure(cfg["measure"], seed)
-    if measure.n > exact.MAX_ENUM_N:
-        print(f"error: exact enumeration needs N <= {exact.MAX_ENUM_N}, "
-              f"got {measure.n}; use sampling instead", file=sys.stderr)
-        return 1
     dist = exact.enumerate_distribution(measure)
-    report = {
-        "n": measure.n,
-        "marginals": exact_list(exact.exact_marginals(dist)),
-    }
+    report = {"n": measure.n,
+              "marginals": exact.exact_marginals(dist).tolist()}
     if measure.n <= 12:
-        report["distribution"] = exact_list(dist.probs)
+        report["distribution"] = dist.probs.tolist()
         holds, worst, witness = exact.check_log_submodular(measure)
         report["log_submodular"] = {
             "holds": bool(holds),
             "worst_slack": worst if math.isfinite(worst) else None,
             "witness": list(witness) if witness else None,
         }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "exact_report.json").write_text(json.dumps(report, indent=2))
-    print(json.dumps(report, indent=2))
+    _write_report(out / "exact_report.json", report)
     return 0
-
-
-def exact_list(a):
-    return [float(v) for v in np.asarray(a)]
 
 
 def _fixture_suite(seed):
@@ -246,9 +236,7 @@ def _is_eps(e):
             and 0.0 < e <= 1.0)
 
 
-def cmd_check(args):
-    cfg = load_config(args.config)
-    seed = resolve_seed(args, cfg)
+def cmd_check(args, cfg, seed, out):
     eps_list = cfg.get("eps", [0.05, 0.01])
     if not isinstance(eps_list, list):
         eps_list = [eps_list]
@@ -259,7 +247,10 @@ def cmd_check(args):
     literal = bool(args.paper_literal_delete)
 
     if "measure" in cfg:
-        fixtures = [("configured", build_measure(cfg["measure"], seed))]
+        measure = build_measure(cfg["measure"], seed)
+        if measure.n > 8:
+            raise ConfigError(f"check needs N <= 8, got N = {measure.n}")
+        fixtures = [("configured", measure)]
     else:
         fixtures = _fixture_suite(seed)
 
@@ -267,10 +258,6 @@ def cmd_check(args):
     ok = True
     for name, measure in fixtures:
         n = measure.n
-        if n > 8:
-            print(f"error: check needs N <= 8, fixture {name} has N = {n}",
-                  file=sys.stderr)
-            return 1
         dist = exact.enumerate_distribution(measure)
         entry = {"name": name, "n": n}
         tm_corr = exact.transition_matrix(measure, "projection")
@@ -291,28 +278,20 @@ def cmd_check(args):
                 entry["lumping_error"] = str(e)
         mix = exact.tv_mixing_times_all(tm_corr, dist, eps_list)
         pi = exact.restrict_distribution(dist, tm_corr.states)
-        dominated = True
-        for eps in eps_list:
-            for i, mask in enumerate(tm_corr.states):
-                bound = chains.theorem_bound(n, bin(mask).count("1"),
-                                             math.log(pi[i]), eps)
-                if mix[eps][i] > bound:
-                    dominated = False
+        dominated = all(
+            mix[eps][i] <= chains.theorem_bound(n, bin(mask).count("1"),
+                                                math.log(pi[i]), eps)
+            for eps in eps_list for i, mask in enumerate(tm_corr.states))
         entry["bound_dominates"] = dominated
         report["fixtures"].append(entry)
         ok = ok and entry["stationary"] and entry.get("lumping_ok", True) \
             and dominated
     report["pass"] = ok
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "check_report.json").write_text(json.dumps(report, indent=2))
-    print(json.dumps(report, indent=2))
+    _write_report(out / "check_report.json", report)
     return 0 if ok else 2
 
 
-def cmd_bound(args):
-    cfg = load_config(args.config)
-    seed = resolve_seed(args, cfg)
+def cmd_bound(args, cfg, seed, out):
     bcfg = cfg.get("bound", {})
     _require_keys(bcfg, {"S0", "eps", "log_pi_S0"}, "bound")
     eps = bcfg.get("eps", cfg.get("eps", 0.05))
@@ -323,15 +302,14 @@ def cmd_bound(args):
     n = measure.n
     s0 = bcfg.get("S0")
     if s0 is None:
-        spec = build_chain_spec(cfg.get("chain", {"steps": 1}), seed=seed)
+        spec = build_chain_spec(cfg.get("chain", {"steps": 1}), seed)
         s0 = [int(i) for i in chains.initial_state(
             measure, spec, chains.chain_rng(seed)).indices()]
     S0 = measures.SubsetState.from_indices(s0, n)
     if "log_pi_S0" in bcfg:
         log_pi = float(bcfg["log_pi_S0"])
     else:
-        dist = exact.enumerate_distribution(measure)
-        log_pi = dist.log_prob(S0.bitmask())
+        log_pi = exact.enumerate_distribution(measure).log_prob(S0.bitmask())
     if log_pi == measures.NEG_INF:
         print("error: start set has zero probability", file=sys.stderr)
         return 2
@@ -340,7 +318,9 @@ def cmd_bound(args):
     k0 = S0.cardinality
     log_choose = measures.log_binomial(n, k0)
     tb = chains.theorem_bound(n, k0, log_pi, eps)
-    eb = chains.exchange_bound(n, 2 * n, log_pi, eps)
+    # The lift R0 of S0 to the symmetric homogenization (2N elements, N-
+    # homogeneous) has pi_sh(R0) = pi(S0) / C(N, |S0|).
+    eb = chains.exchange_bound(n, 2 * n, log_pi - log_choose, eps)
     lines = [
         f"N = {n}, |S0| = {k0}, log pi(S0) = {log_pi:.6f}, eps = {eps}",
         f"  term log C(N,|S0|)   = {log_choose:.6f}",
@@ -349,69 +329,56 @@ def cmd_bound(args):
         f"projection-chain bound  = {tb:.4f}",
         f"exchange bound (M=2N,k=N) = {eb:.4f}",
     ]
-    print("\n".join(lines))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "bound.json").write_text(json.dumps({
+    _write_report(out / "bound.json", {
         "n": n, "s0": sorted(s0), "log_pi_s0": log_pi, "eps": eps,
         "theorem_bound": tb, "exchange_bound": eb,
-    }, indent=2))
+    }, "\n".join(lines))
     return 0
 
 
-def cmd_compare(args):
-    cfg = load_config(args.config)
-    seed = resolve_seed(args, cfg)
+def cmd_compare(args, cfg, seed, out):
     ccfg = cfg.get("chain", {})
     n_chains = int(ccfg.get("chains", diagnostics.DEFAULT_CHAINS))
     if n_chains < 2:
-        print("error: compare needs at least 2 chains for PSRF",
-              file=sys.stderr)
-        return 1
-    ccfg2 = dict(cfg.get("compare", {}))
-    _require_keys(ccfg2, {"threshold", "stride", "statistics"}, "compare")
-    threshold = float(ccfg2.get("threshold", diagnostics.DEFAULT_THRESHOLD))
-    stride = ccfg2.get("stride")
-    stats = ccfg2.get("statistics", ["cardinality"])
+        raise ConfigError("compare needs at least 2 chains for PSRF")
+    pcfg = cfg.get("compare", {})
+    _require_keys(pcfg, {"threshold", "stride", "statistics"}, "compare")
+    threshold = float(pcfg.get("threshold", diagnostics.DEFAULT_THRESHOLD))
+    diagnostics.check_threshold(threshold)
+    stride = pcfg.get("stride")
+    stats = [tuple(s) if isinstance(s, list) else s
+             for s in pcfg.get("statistics", ["cardinality"])]
+    if not stats:
+        raise ConfigError("compare.statistics must not be empty")
     measure = build_measure(cfg["measure"], seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for stat in stats:
+        diagnostics.check_statistic(stat, measure.n)
+    specs = [build_chain_spec(ccfg, seed, kind)
+             for kind in ("add-delete", "projection")]
 
     rows = []
     curves = []
-    for kind in ("add-delete", "projection"):
-        spec = build_chain_spec(ccfg, kind=kind, seed=seed)
+    for spec in specs:
         transcripts = chains.run_chains(measure, spec, n_chains)
         for stat in stats:
-            key = tuple(stat) if isinstance(stat, list) else stat
-            series = diagnostics.extract_summary(transcripts, key)
-            curve = diagnostics.psrf_curve(series, stride=stride)
-            curves.extend((kind, _stat_name(key), stop * spec.thin,
+            name = f"indicator_{stat[1]}" if isinstance(stat, tuple) else stat
+            curve = diagnostics.psrf_curve(
+                diagnostics.extract_summary(transcripts, stat), stride=stride)
+            curves.extend((spec.kind, name, stop * spec.thin,
                            r if math.isfinite(r) else "inf")
                           for stop, r in curve)
             hit = diagnostics.first_crossing(curve, threshold)
-            rows.append((kind, _stat_name(key),
-                         hit[0] * spec.thin if hit else "",
+            rows.append((spec.kind, name, hit[0] * spec.thin if hit else "",
                          "true" if hit and hit[1] else "false"))
 
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["chain", "statistic", "iterations_to_threshold",
-                    "censored"])
-        w.writerows(rows)
-    with open(out / "psrf_curves.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["chain", "statistic", "iteration", "psrf"])
-        w.writerows(curves)
+    _write_csv(out / "comparison.csv",
+               ["chain", "statistic", "iterations_to_threshold", "censored"],
+               rows)
+    _write_csv(out / "psrf_curves.csv",
+               ["chain", "statistic", "iteration", "psrf"], curves)
     for row in rows:
         print(",".join(map(str, row)))
     return 0
-
-
-def _stat_name(stat):
-    if isinstance(stat, tuple):
-        return f"indicator_{stat[1]}"
-    return stat
 
 
 def build_parser():
@@ -434,7 +401,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        seed = (args.seed if args.seed is not None
+                else int(cfg.get("chain", {}).get("seed", 0)))
+        return args.fn(args, cfg, seed, Path(args.out))
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

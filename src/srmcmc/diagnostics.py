@@ -53,17 +53,28 @@ def extract_summary(transcripts, statistic):
     lengths = {len(t) for t in transcripts}
     if len(lengths) != 1:
         raise ValueError(f"transcripts have unequal lengths: {sorted(lengths)}")
-    rows = []
-    for t in transcripts:
-        if statistic == "cardinality":
-            rows.append(t.cardinalities())
-        elif statistic == "log_weight":
-            rows.append(np.asarray(t.log_weights, dtype=float))
-        elif isinstance(statistic, tuple) and statistic[0] == "indicator":
-            rows.append(t.indicator(statistic[1]))
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
-    return np.vstack(rows)
+    check_statistic(statistic, transcripts[0].n)
+    if statistic == "cardinality":
+        return np.vstack([t.cardinalities() for t in transcripts])
+    if statistic == "log_weight":
+        return np.vstack([np.asarray(t.log_weights, dtype=float)
+                          for t in transcripts])
+    return np.vstack([t.indicator(statistic[1]) for t in transcripts])
+
+
+def check_statistic(statistic, n):
+    """Raise ValueError unless ``statistic`` is a summary of an n-element
+    chain: "cardinality", "log_weight", or ("indicator", i) with 0 <= i < n."""
+    if statistic in ("cardinality", "log_weight"):
+        return
+    if (isinstance(statistic, tuple) and len(statistic) == 2
+            and statistic[0] == "indicator"
+            and isinstance(statistic[1], (int, np.integer))
+            and 0 <= statistic[1] < n):
+        return
+    raise ValueError(
+        f"statistic must be 'cardinality', 'log_weight' or ('indicator', i) "
+        f"with 0 <= i < {n}, got {statistic!r}")
 
 
 def psrf_curve(series, stride=None):
@@ -101,14 +112,19 @@ def first_crossing(curve, threshold=DEFAULT_THRESHOLD):
     ``censored`` is True when that point is the curve's first checkpoint: R-hat
     was already below the threshold there, so the stop only bounds the
     crossing from above and says nothing about how fast the chains mixed.
-    ``threshold`` must exceed 1, the value R-hat tends to as chains converge.
     """
-    if not threshold > 1.0:
-        raise ValueError(f"threshold must exceed 1, got {threshold!r}")
+    check_threshold(threshold)
     for k, (stop, r) in enumerate(curve):
         if r <= threshold:
             return stop, k == 0
     return None
+
+
+def check_threshold(threshold):
+    """Raise ValueError unless ``threshold`` exceeds 1, the value R-hat tends
+    to as chains converge."""
+    if not threshold > 1.0:
+        raise ValueError(f"threshold must exceed 1, got {threshold!r}")
 
 
 def empirical_marginals(transcripts):

@@ -116,6 +116,7 @@ def test_criterion_4_mixing_time_bound_dominates():
     verdict(4, "exact TV mixing times below the 2N^2 bound", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_5_marginals_at_scale():
     n = 100
     rng = np.random.default_rng(1234 + n)
@@ -156,6 +157,7 @@ def psrf_crossing(transcripts, statistics, thin, stride):
     return (stops[hits[0]] * thin if hits.size else None), stops[0] * thin
 
 
+@pytest.mark.slow
 def test_criterion_6_chain_ordering_qualitative():
     def informative(hit, first):
         return hit is not None and hit > first

@@ -91,6 +91,7 @@ class TestExchangeStep:
 
 
 class TestProjectionStep:
+    @pytest.mark.slow
     def test_branch_frequencies_match_interval_widths(self, rng):
         # N=4, |S|=1: add 9/32, exchange 3/32, delete 1/32, hold 19/32.
         m = uniform_table(4)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from srmcmc import exact
-from srmcmc.cli import main, load_kernel_csv, write_kernel_csv
+from srmcmc import chains, exact
+from srmcmc.cli import ConfigError, main, load_kernel_csv, write_kernel_csv
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -54,15 +54,6 @@ class TestSample:
         assert (out1 / "chain_00.jsonl").read_text() != \
             (out2 / "chain_00.jsonl").read_text()
 
-    def test_env_seed(self, tmp_path, monkeypatch):
-        cfg = product_config(tmp_path, steps=500, seed=3)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("SR_MCMC_SEED", "4")
-        main(["sample", "--config", cfg, "--out", str(out1)])
-        main(["sample", "--config", cfg, "--out", str(out2), "--seed", "4"])
-        assert (out1 / "chain_00.jsonl").read_bytes() == \
-            (out2 / "chain_00.jsonl").read_bytes()
-
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {
             "measure": {"kind": "product", "q": [0.5]},
@@ -70,6 +61,32 @@ class TestSample:
         })
         assert main(["sample", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("measure,chain,n", [
+        ({"kind": "dpp-L", "preset": "fig1b-like"}, {}, 200),
+        ({"kind": "dpp-L", "preset": "fig1c-like"}, {}, 200),
+        ({"kind": "dpp-L", "rbf": {"points_path": "points.csv",
+                                   "bandwidth": 0.5}}, {}, 6),
+        ({"kind": "dpp-L", "spectrum_step": {"N": 8, "k": 4, "hi": 50.0,
+                                             "lo": 0.02, "seed": 2}}, {}, 8),
+        ({"kind": "product-k", "q": [0.3, 0.8, 0.5, 0.6], "k": 2},
+         {"kind": "exchange", "init": "random-positive"}, 4),
+    ], ids=["fig1b-like", "fig1c-like", "rbf", "spectrum_step", "product-k"])
+    def test_measure_sources(self, tmp_path, measure, chain, n):
+        np.savetxt(tmp_path / "points.csv",
+                   np.random.default_rng(0).random((6, 2)), delimiter=",")
+        if "rbf" in measure:
+            measure["rbf"]["points_path"] = str(tmp_path / "points.csv")
+        cfg = write_config(tmp_path, {
+            "measure": measure, "chain": {"steps": 50, "seed": 1, **chain}})
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+        recs = [json.loads(line) for line in
+                (out / "chain_00.jsonl").read_text().splitlines()]
+        assert len(recs) == 50
+        assert all(0 <= i < n for rec in recs for i in rec["set"])
+        if measure["kind"] == "product-k":
+            assert {len(rec["set"]) for rec in recs} == {2}
 
 
 class TestKernelCsv:
@@ -89,6 +106,12 @@ class TestKernelCsv:
         path = tmp_path / "k.csv"
         path.write_text("1.0,0.5\n0.5,abc\n")
         with pytest.raises(ValueError, match="2:2"):
+            load_kernel_csv(path)
+
+    def test_asymmetry_above_kernel_tolerance_rejected(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("1.0,0.5\n0.500000005,1.0\n")
+        with pytest.raises(ConfigError, match="asymmetric at row"):
             load_kernel_csv(path)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -227,6 +250,33 @@ class TestBound:
         want = 2 * 16 * (math.log(6) + math.log(16) + math.log(100))
         assert report["theorem_bound"] == pytest.approx(want)
 
+    def test_exchange_bound_equals_projection_bound(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.5] * 4},
+            "bound": {"S0": [0, 1], "eps": 0.05},
+        })
+        out = tmp_path / "out"
+        assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "bound.json").read_text())
+        assert report["exchange_bound"] == \
+            pytest.approx(report["theorem_bound"], rel=1e-12, abs=0)
+
+    def test_start_set_from_default_init(self, tmp_path):
+        q = [0.3, 0.8, 0.5, 0.6]
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": q},
+            "bound": {"eps": 0.05},
+        })
+        out = tmp_path / "out"
+        assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "bound.json").read_text())
+        # the heaviest singleton of a product measure has the largest odds
+        assert report["s0"] == [1]
+        want = math.log(0.7 * 0.8 * 0.5 * 0.4)
+        assert report["log_pi_s0"] == pytest.approx(want)
+        assert report["theorem_bound"] == pytest.approx(
+            chains.theorem_bound(4, 1, want, 0.05))
+
     @pytest.mark.parametrize("where", ["top", "bound"])
     @pytest.mark.parametrize("eps", [[0.05], "0.05", True])
     def test_bad_eps_rejected(self, tmp_path, capsys, where, eps):
@@ -254,6 +304,34 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
         assert "threshold" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("compare,chain,word", [
+        ({"threshold": 0.5, "statistics": []}, {}, "threshold"),
+        ({"threshold": 1.0}, {}, "threshold"),
+        ({"statistics": []}, {}, "statistics"),
+        ({"statistics": ["cardinalty"]}, {}, "statistic"),
+        ({"statistics": [["indicator", 2]]}, {}, "statistic"),
+        ({"statistics": [["indicator", -1]]}, {}, "statistic"),
+        ({}, {"stepz": 10}, "chain keys"),
+    ], ids=["threshold-below-1", "threshold-1", "no-statistics",
+            "unknown-statistic", "indicator-past-end", "negative-indicator",
+            "unknown-chain-key"])
+    def test_bad_config_rejected_before_any_chain(self, tmp_path, capsys,
+                                                  monkeypatch, compare,
+                                                  chain, word):
+        calls = []
+        monkeypatch.setattr(chains, "run_chains",
+                            lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.5, 0.5]},
+            "chain": {"steps": 100, "chains": 2, **chain},
+            "compare": compare,
+        })
+        out = tmp_path / "o"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+        assert word in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_outputs_and_header(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -308,6 +386,24 @@ def test_flagged_dpp_cache_exits_2(tmp_path, singular_add_kernel, capsys):
     assert main(["sample", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
     assert "stream 0: DPP cache flagged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("check", {"eps": 2}),
+    ("bound", {"measure": {"kind": "product", "q": [0.5, 0.5]},
+               "bound": {"S0": [0], "eps": 0.0}}),
+    ("exact", {"measure": {"kind": "product", "q": [0.5] * 21}}),
+    ("sample", {"measure": {"kind": "product", "q": [0.5]}, "chain": [10]}),
+    ("exact", {"measure": {"kind": "product", "q": [0.5]}, "bound": "S0"}),
+], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
+        "bound-not-object"])
+def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                    command, cfg):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

@@ -98,6 +98,12 @@ class TestExtractSummary:
         with pytest.raises(ValueError):
             extract_summary([t1, t1], "entropy")
 
+    @pytest.mark.parametrize("i", [3, 99, -1])
+    def test_indicator_outside_ground_set_rejected(self, i):
+        t = constant_transcript(3, (0,), 4)
+        with pytest.raises(ValueError, match="statistic"):
+            extract_summary([t, t], ("indicator", i))
+
 
 class TestIterationsToThreshold:
     def test_iid_draws_converge_quickly(self):

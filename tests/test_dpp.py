@@ -194,6 +194,7 @@ class TestSpectralSampler:
             se = math.sqrt(p * (1 - p) / reps)
             assert abs(est[i] - p) < 3 * se + 1e-9
 
+    @pytest.mark.slow
     def test_small_instance_distribution_tv(self, rng):
         A = np.random.default_rng(21).standard_normal((4, 4))
         m = LEnsemble(A @ A.T / 4)
