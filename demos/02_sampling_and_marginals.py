@@ -8,12 +8,11 @@ the chain's start set.
 
 Run:  python3 demos/02_sampling_and_marginals.py
 """
-import math
-
 import numpy as np
 
-from srmcmc import (ChainSpec, SpectralSampler, empirical_marginals,
+from srmcmc import (ChainSpec, SpectralSampler, chain_rng, empirical_marginals,
                     l_to_marginal, rbf_kernel, run_chains, theorem_bound)
+from srmcmc.chains import initial_state
 
 rng = np.random.default_rng(7)
 n = 40
@@ -39,9 +38,10 @@ print(f"spectral sampler, {draws} i.i.d. draws:")
 print(f"  max |empirical - exact| marginal error = {np.max(np.abs(counts / draws - target)):.4f}")
 print()
 
-# Mixing-time guarantee for the chain started from its heaviest singleton.
-s0 = transcripts[0].states[0]
-log_pi = transcripts[0].log_weights[0]  # unnormalized; fold in a crude log Z
-bound = theorem_bound(n, len(s0), log_pi - math.log(2.0) * n, eps=0.01)
-print(f"2N^2 mixing-time bound from S0 = {s0} at eps = 0.01: "
-      f"{bound:,.0f} steps (conservative)")
+# Mixing-time guarantee from the chains' start set, the heaviest singleton,
+# with pi(S0) = det(L_S0) / det(I + L).
+S0 = initial_state(m, spec, chain_rng(spec.seed))
+log_z = np.linalg.slogdet(np.eye(n) + m.L)[1]
+bound = theorem_bound(n, S0.cardinality, m.log_weight(S0) - log_z, eps=0.01)
+print(f"2N^2 mixing-time bound from S0 = {S0.indices().tolist()} at "
+      f"eps = 0.01: {bound:,.0f} steps (conservative)")

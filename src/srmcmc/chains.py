@@ -14,10 +14,11 @@ literal-delete flag of ``exact.transition_matrix`` builds its matrix, and
 
 Every step is one Metropolis move: a stepper draws a proposal and its ratio
 from the oracle, and :func:`_metropolis` accepts it with probability
-min(1, ratio). :func:`run_chain` asks the measure for its per-chain oracle
-(``MeasureOracle.chain_oracle``) and hands it every outcome (``apply``), so a
-measure with incremental per-chain state, such as an L-ensemble's inverse
-cache, keeps it in step without the chain loop knowing which measure it runs.
+min(1, ratio). :func:`run_chain` runs on the measure's per-chain oracle
+(``MeasureOracle.chain_oracle``), which applies each accepted move
+(``move``), so a measure with incremental per-chain state, such as an
+L-ensemble's inverse cache, keeps it in step without the chain loop knowing
+which measure it runs. A step's outcome is a shared :class:`MoveOutcome`.
 """
 from __future__ import annotations
 
@@ -59,21 +60,17 @@ class ChainSpec:
 @dataclass(frozen=True)
 class MoveOutcome:
     kind: str  # "add" | "delete" | "swap" | "hold"
-    s: Optional[int] = None
-    t: Optional[int] = None
     accepted: bool = True
-    acceptance_prob: float = 1.0
 
 
 HOLD = MoveOutcome("hold")
+ACCEPTED = {kind: MoveOutcome(kind) for kind in ("add", "delete", "swap")}
+REJECTED = {kind: MoveOutcome(kind, False) for kind in ACCEPTED}
 
 
 @dataclass
 class Transcript:
     n: int
-    chain_kind: str
-    seed: int
-    stream: int
     steps: list = field(default_factory=list)
     states: list = field(default_factory=list)  # sorted index tuples
     log_weights: list = field(default_factory=list)
@@ -96,19 +93,14 @@ def chain_rng(seed, stream=0):
     )
 
 
-def _metropolis(S: SubsetState, rng, kind, r, s=None, t=None):
+def _metropolis(oracle: MeasureOracle, S: SubsetState, rng, kind, r,
+                s=None, t=None):
     """Accept the proposed move with probability min(1, r): draw u, keep S
-    when u >= min(1, r), otherwise apply the move. Returns (state, outcome)."""
-    p = min(1.0, r)
-    if rng.random() >= p:
-        return S, MoveOutcome(kind, s=s, t=t, accepted=False, acceptance_prob=p)
-    if kind == "add":
-        S = S.with_added(t)
-    elif kind == "delete":
-        S = S.with_deleted(s)
-    else:
-        S = S.with_swapped(s, t)
-    return S, MoveOutcome(kind, s=s, t=t, accepted=True, acceptance_prob=p)
+    when u >= min(1, r), otherwise have the oracle apply the move. Returns
+    (state, outcome)."""
+    if rng.random() >= min(1.0, r):
+        return S, REJECTED[kind]
+    return oracle.move(S, kind, s, t), ACCEPTED[kind]
 
 
 def step_add_delete(measure: MeasureOracle, S: SubsetState, rng):
@@ -121,21 +113,21 @@ def step_add_delete(measure: MeasureOracle, S: SubsetState, rng):
         return S, HOLD
     t = int(rng.integers(measure.n))
     if S.contains(t):
-        return _metropolis(S, rng, "delete", measure.delete_ratio(S, t), s=t)
-    return _metropolis(S, rng, "add", measure.add_ratio(S, t), t=t)
+        return _metropolis(measure, S, rng, "delete",
+                           measure.delete_ratio(S, t), s=t)
+    return _metropolis(measure, S, rng, "add", measure.add_ratio(S, t), t=t)
 
 
 def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
     """One lazy Gibbs exchange step: swap uniform s in S with uniform t not in S."""
     n = measure.n
     k = S.cardinality
-    if k == 0 or k == n:
-        return S, HOLD
-    if rng.random() >= 0.5:
+    if k == 0 or k == n or rng.random() >= 0.5:
         return S, HOLD
     s = int(S.indices()[rng.integers(k)])
     t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
-    return _metropolis(S, rng, "swap", measure.swap_ratio(S, s, t), s=s, t=t)
+    return _metropolis(measure, S, rng, "swap", measure.swap_ratio(S, s, t),
+                       s=s, t=t)
 
 
 def step_projection(measure: MeasureOracle, S: SubsetState, rng):
@@ -153,15 +145,15 @@ def step_projection(measure: MeasureOracle, S: SubsetState, rng):
     if q < (n - k) ** 2 / n2:
         t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
         r = measure.add_ratio(S, t) * (k + 1) / (n - k)
-        return _metropolis(S, rng, "add", r, t=t)
+        return _metropolis(measure, S, rng, "add", r, t=t)
     if q < (n - k) / (2.0 * n):
         t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
         s = int(S.indices()[rng.integers(k)])
-        return _metropolis(S, rng, "swap", measure.swap_ratio(S, s, t),
-                           s=s, t=t)
+        return _metropolis(measure, S, rng, "swap",
+                           measure.swap_ratio(S, s, t), s=s, t=t)
     if q < (k * k + n * (n - k)) / n2:
         s = int(S.indices()[rng.integers(k)])
-        return _metropolis(S, rng, "delete",
+        return _metropolis(measure, S, rng, "delete",
                            measure.delete_ratio(S, s) * ((n - k + 1) / k),
                            s=s)
     return S, HOLD
@@ -192,18 +184,16 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
 
     Applies ``burn_in`` steps, then records the state after every ``thin``-th
     of the remaining ``steps`` steps. With steps=0 the transcript holds only
-    the post-burn-in initial state.
+    the post-burn-in initial state. An ``ArithmeticError`` from the oracle
+    (a flagged DPP cache) is raised again with the stream named.
     """
     rng = chain_rng(spec.seed, stream)
     S = initial_state(measure, spec, rng)
-    oracle = measure.chain_oracle(S, stream)
     # Chosen per call from the module globals, so that a stepper replaced at
     # run time (a tracer, a test double) is the one that runs.
     step = {"add-delete": step_add_delete, "exchange": step_exchange,
             "projection": step_projection}[spec.kind]
-
-    tr = Transcript(n=measure.n, chain_kind=spec.kind, seed=spec.seed,
-                    stream=stream)
+    tr = Transcript(n=measure.n)
 
     def record(step_index, state, outcome):
         tr.steps.append(step_index)
@@ -211,17 +201,18 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
         tr.log_weights.append(float(oracle.log_weight(state)))
         tr.moves.append(outcome)
 
-    for _ in range(spec.burn_in):
-        S, out = step(oracle, S, rng)
-        oracle.apply(out)
-    if spec.steps == 0:
-        record(0, S, HOLD)
-        return tr
-    for i in range(1, spec.steps + 1):
-        S, out = step(oracle, S, rng)
-        oracle.apply(out)
-        if i % spec.thin == 0:
-            record(i, S, out)
+    try:
+        oracle = measure.chain_oracle(S)
+        for _ in range(spec.burn_in):
+            S, _ = step(oracle, S, rng)
+        if spec.steps == 0:
+            record(0, S, HOLD)
+        for i in range(1, spec.steps + 1):
+            S, out = step(oracle, S, rng)
+            if i % spec.thin == 0:
+                record(i, S, out)
+    except ArithmeticError as e:
+        raise ArithmeticError(f"stream {stream}: {e}") from e
     return tr
 
 

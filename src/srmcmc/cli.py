@@ -30,7 +30,9 @@ MEASURE_KEYS = {
 }
 CHAIN_KEYS = {"kind", "steps", "burn_in", "thin", "chains", "seed", "init",
               "init_set"}
-TOP_KEYS = {"measure", "chain", "eps", "bound", "compare"}
+SECTION_KEYS = {"measure": MEASURE_KEYS, "chain": CHAIN_KEYS,
+                "bound": {"S0", "eps", "log_pi_S0"},
+                "compare": {"threshold", "stride", "statistics"}}
 
 
 class ConfigError(ValueError):
@@ -38,6 +40,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(obj, allowed, context):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
@@ -95,7 +99,6 @@ def _preset_measure(name, seed):
 
 
 def build_measure(mcfg, seed):
-    _require_keys(mcfg, MEASURE_KEYS, "measure")
     kind = mcfg.get("kind")
     if kind not in MEASURE_KINDS:
         raise ConfigError(f"measure.kind must be one of {MEASURE_KINDS}")
@@ -134,28 +137,36 @@ def build_measure(mcfg, seed):
     return measures.TableMeasure(mcfg["weights"])
 
 
+def _chain_int(ccfg, key, default=None):
+    """``chain.<key>`` (``default`` when absent); it must be an int."""
+    value = ccfg.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"chain.{key} must be an integer, got {value!r}")
+    return value
+
+
 def build_chain_spec(ccfg, seed, kind=None):
-    _require_keys(ccfg, CHAIN_KEYS, "chain")
+    init_set = ccfg.get("init_set", [])
+    if type(init_set) is not list or any(type(i) is not int for i in init_set):
+        raise ConfigError(
+            f"chain.init_set must be a list of integers, got {init_set!r}")
     return chains.ChainSpec(
         kind=kind or ccfg.get("kind", "projection"),
-        steps=int(ccfg["steps"]),
-        burn_in=int(ccfg.get("burn_in", 0)),
-        thin=int(ccfg.get("thin", 1)),
+        steps=_chain_int(ccfg, "steps"),
+        burn_in=_chain_int(ccfg, "burn_in", 0),
+        thin=_chain_int(ccfg, "thin", 1),
         seed=seed,
         init=ccfg.get("init", "heaviest-singleton"),
-        init_set=tuple(ccfg["init_set"]) if "init_set" in ccfg else None,
+        init_set=tuple(init_set) if "init_set" in ccfg else None,
     )
 
 
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(cfg, TOP_KEYS, "config")
-    for key in TOP_KEYS - {"eps"}:
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ConfigError(f"{key} must be a JSON object")
+    _require_keys(cfg, {"eps", *SECTION_KEYS}, "config")
+    for key, allowed in SECTION_KEYS.items():
+        _require_keys(cfg.get(key, {}), allowed, key)
     return cfg
 
 
@@ -195,7 +206,7 @@ def cmd_sample(args, cfg, seed, out):
     measure = build_measure(cfg["measure"], seed)
     ccfg = cfg.get("chain", {})
     spec = build_chain_spec(ccfg, seed)
-    for c in range(int(ccfg.get("chains", 1))):
+    for c in range(_chain_int(ccfg, "chains", 1)):
         tr = chains.run_chain(measure, spec, stream=c)
         write_transcript(out / f"chain_{c:02d}.jsonl", tr)
     return 0
@@ -293,7 +304,6 @@ def cmd_check(args, cfg, seed, out):
 
 def cmd_bound(args, cfg, seed, out):
     bcfg = cfg.get("bound", {})
-    _require_keys(bcfg, {"S0", "eps", "log_pi_S0"}, "bound")
     eps = bcfg.get("eps", cfg.get("eps", 0.05))
     if not _is_eps(eps):
         raise ConfigError(f"eps must be one number in (0, 1], got {eps!r}")
@@ -302,7 +312,8 @@ def cmd_bound(args, cfg, seed, out):
     n = measure.n
     s0 = bcfg.get("S0")
     if s0 is None:
-        spec = build_chain_spec(cfg.get("chain", {"steps": 1}), seed)
+        # No chain runs here, so chain.steps is not needed.
+        spec = build_chain_spec({"steps": 0, **cfg.get("chain", {})}, seed)
         s0 = [int(i) for i in chains.initial_state(
             measure, spec, chains.chain_rng(seed)).indices()]
     S0 = measures.SubsetState.from_indices(s0, n)
@@ -338,14 +349,14 @@ def cmd_bound(args, cfg, seed, out):
 
 def cmd_compare(args, cfg, seed, out):
     ccfg = cfg.get("chain", {})
-    n_chains = int(ccfg.get("chains", diagnostics.DEFAULT_CHAINS))
+    n_chains = _chain_int(ccfg, "chains", diagnostics.DEFAULT_CHAINS)
     if n_chains < 2:
         raise ConfigError("compare needs at least 2 chains for PSRF")
     pcfg = cfg.get("compare", {})
-    _require_keys(pcfg, {"threshold", "stride", "statistics"}, "compare")
-    threshold = float(pcfg.get("threshold", diagnostics.DEFAULT_THRESHOLD))
+    threshold = pcfg.get("threshold", diagnostics.DEFAULT_THRESHOLD)
     diagnostics.check_threshold(threshold)
     stride = pcfg.get("stride")
+    diagnostics.check_stride(stride)
     stats = [tuple(s) if isinstance(s, list) else s
              for s in pcfg.get("statistics", ["cardinality"])]
     if not stats:
@@ -403,7 +414,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         seed = (args.seed if args.seed is not None
-                else int(cfg.get("chain", {}).get("seed", 0)))
+                else _chain_int(cfg.get("chain", {}), "seed", 0))
         return args.fn(args, cfg, seed, Path(args.out))
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as e:

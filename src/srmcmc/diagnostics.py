@@ -88,6 +88,7 @@ def psrf_curve(series, stride=None):
     m, n = x.shape
     if m < 2:
         raise ValueError("need at least 2 chains")
+    check_stride(stride)
     if stride is None:
         stride = max(1, n // 200)
     stops = np.arange(stride, n + 1, stride)
@@ -121,10 +122,19 @@ def first_crossing(curve, threshold=DEFAULT_THRESHOLD):
 
 
 def check_threshold(threshold):
-    """Raise ValueError unless ``threshold`` exceeds 1, the value R-hat tends
-    to as chains converge."""
-    if not threshold > 1.0:
+    """Raise ValueError unless ``threshold`` is a number above 1, the value
+    R-hat tends to as chains converge; booleans are not numbers here."""
+    if isinstance(threshold, bool) or not (
+            isinstance(threshold, (int, float)) and threshold > 1.0):
         raise ValueError(f"threshold must exceed 1, got {threshold!r}")
+
+
+def check_stride(stride):
+    """Raise ValueError unless ``stride`` is None (the default) or a positive
+    integer; booleans are not integers here."""
+    if stride is not None and (isinstance(stride, bool) or not (
+            isinstance(stride, (int, np.integer)) and stride >= 1)):
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
 
 
 def empirical_marginals(transcripts):

@@ -7,7 +7,7 @@ Schur complements, read in closed form from the inverse of L_S that
 :class:`CholeskyCache` maintains incrementally; it factors L_S by Cholesky
 only when it rebuilds. ``LEnsemble.chain_oracle`` gives each chain a
 :class:`_CachedDppOracle`, which answers the ratios from its own cache and
-applies every accepted move to it.
+applies every accepted move to it before returning the next state.
 """
 from __future__ import annotations
 
@@ -41,15 +41,10 @@ def validate_marginal_kernel(K):
     """Validate a DPP marginal kernel: symmetric with spectrum in [0, 1]."""
     K = _check_symmetric(K, SYMMETRY_TOL, "marginal kernel")
     if K.size:
-        evals = np.linalg.eigvalsh(K)
-        if evals[0] < -EIG_TOL:
+        lo, hi = np.linalg.eigvalsh(K)[[0, -1]]
+        if lo < -EIG_TOL or hi > 1.0 + EIG_TOL:
             raise KernelValidationError(
-                f"marginal kernel eigenvalue {evals[0]:.6g} below 0"
-            )
-        if evals[-1] > 1.0 + EIG_TOL:
-            raise KernelValidationError(
-                f"marginal kernel eigenvalue {evals[-1]:.6g} above 1"
-            )
+                f"marginal kernel spectrum [{lo:.6g}, {hi:.6g}] outside [0, 1]")
     return K
 
 
@@ -71,9 +66,9 @@ class LEnsemble(MeasureOracle):
         self._check(S)
         return dpp_log_weight(self.L, S)
 
-    def chain_oracle(self, S: SubsetState, stream=0) -> "_CachedDppOracle":
+    def chain_oracle(self, S: SubsetState) -> "_CachedDppOracle":
         """A per-chain oracle backed by a fresh inverse cache of L_S."""
-        return _CachedDppOracle(self, S, stream)
+        return _CachedDppOracle(self, S)
 
     def singleton_log_weights(self) -> np.ndarray:
         """log L_ii; -inf where L_ii <= 0."""
@@ -133,9 +128,9 @@ class CholeskyCache:
     ``inv`` by rank-1 block-inverse formulas; a delete moves the last element
     into the freed position. A Cholesky factor of L_S is formed only at a
     rebuild: every ``REBUILD_INTERVAL`` accepted moves, or when an add pivot
-    or a deleted inv[p, p] falls below ``PIVOT_TOL``. A failed rebuild flags
-    the cache; a flagged cache reports -inf weight and zero ratios until an
-    applied move rebuilds it.
+    or a deleted inv[p, p] falls below ``PIVOT_TOL``. A rebuild that finds
+    L_S numerically singular sets ``flagged`` and raises ``ArithmeticError``;
+    the cache is not usable after that.
     """
 
     REBUILD_INTERVAL = 512
@@ -184,15 +179,14 @@ class CholeskyCache:
         except np.linalg.LinAlgError:
             self.log_det = NEG_INF
             self.flagged = True
-            return
+            raise ArithmeticError("DPP cache flagged: the rebuild found L_S "
+                                  "numerically singular") from None
         chol_inv = dtrtri(chol, lower=1)[0]
         self.inv = chol_inv.T @ chol_inv
         self.log_det = float(2.0 * np.sum(np.log(np.diag(chol))))
 
     def add_ratio(self, t) -> float:
         """det(L_{S+t}) / det(L_S) = L_tt - c^T inv c, the Schur complement pivot."""
-        if self.flagged:
-            return 0.0
         if t in self._pos:
             raise ValueError(f"element {t} already active")
         c = self.L[t][self.order]
@@ -203,15 +197,11 @@ class CholeskyCache:
 
     def delete_ratio(self, s) -> float:
         """det(L_{S-s}) / det(L_S) = inv[p, p]."""
-        if self.flagged:
-            return 0.0
         p = self._pos[s]
         return float(self.inv[p, p])
 
     def swap_ratio(self, s, t) -> float:
         """det(L_{S-s+t}) / det(L_S) = inv[p, p] (L_tt - c^T inv c) + (inv c)_p^2."""
-        if self.flagged:
-            return 0.0
         p = self._pos[s]
         c = self.L[t][self.order]
         w = self.inv.dot(c)
@@ -226,7 +216,7 @@ class CholeskyCache:
             pending = self._pending_add
         k = self.size
         self._push(t)
-        if self.flagged or pending[2] < self.PIVOT_TOL:
+        if pending[2] < self.PIVOT_TOL:
             self._rebuild()
             return
         _, w, pivot = pending
@@ -243,7 +233,7 @@ class CholeskyCache:
         k = self.size
         p = self._pop(int(s))
         # Emptying the set rebuilds, so the empty set's log_det is exactly 0.
-        kp = 0.0 if self.flagged or k == 1 else self.inv[p, p]
+        kp = 0.0 if k == 1 else self.inv[p, p]
         if kp < self.PIVOT_TOL:
             self._rebuild()
             return
@@ -268,20 +258,16 @@ class CholeskyCache:
 
 
 class _CachedDppOracle(MeasureOracle):
-    """Per-chain oracle that reads ratios from the cache's maintained inverse
-    of L_S; the cache forms a Cholesky factor only when it rebuilds.
+    """Per-chain oracle that answers ratios from its own :class:`CholeskyCache`.
 
     Like its ratios, ``log_weight`` answers for the chain's current state,
     whatever state it is passed: it returns the cache's running log det(L_S).
-
-    An accepted move that leaves the cache flagged (its rebuild found L_S
-    numerically singular) raises ``ArithmeticError`` naming the stream, so
-    the chain does not run on with zero ratios.
+    ``move`` applies each accepted move to the cache, so a rebuild that finds
+    L_S numerically singular raises ``ArithmeticError`` there.
     """
 
-    def __init__(self, measure: LEnsemble, S: SubsetState, stream):
+    def __init__(self, measure: LEnsemble, S: SubsetState):
         self.n = measure.n
-        self.stream = stream
         self.cache = CholeskyCache(measure.L, S.indices())
 
     def log_weight(self, S):
@@ -296,19 +282,14 @@ class _CachedDppOracle(MeasureOracle):
     def swap_ratio(self, S, s, t):
         return self.cache.swap_ratio(s, t)
 
-    def apply(self, outcome):
-        if not outcome.accepted or outcome.kind == "hold":
-            return
-        if outcome.kind == "add":
-            self.cache.apply_add(outcome.t)
-        elif outcome.kind == "delete":
-            self.cache.apply_delete(outcome.s)
+    def move(self, S, kind, s, t):
+        if kind == "add":
+            self.cache.apply_add(t)
+        elif kind == "delete":
+            self.cache.apply_delete(s)
         else:
-            self.cache.apply_swap(outcome.s, outcome.t)
-        if self.cache.flagged:
-            raise ArithmeticError(
-                f"stream {self.stream}: DPP cache flagged after an accepted "
-                f"{outcome.kind}; the rebuild found L_S numerically singular")
+            self.cache.apply_swap(s, t)
+        return super().move(S, kind, s, t)
 
 
 class SpectralSampler:

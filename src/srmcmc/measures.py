@@ -4,11 +4,11 @@ All weights live in log domain; ``-inf`` is the first-class encoding of a
 zero-weight set. The chain steppers only ever consume the ratio operations,
 which measures may override with faster specializations.
 
-A chain runs on ``measure.chain_oracle(S, stream)``, which answers those
-ratios for one chain, and passes every step's outcome to its ``apply``. The
-default oracle is the measure itself and ``apply`` does nothing; a measure
-that keeps incremental per-chain state returns its own oracle (the
-L-ensemble's inverse cache in :mod:`srmcmc.dpp`).
+A chain runs on ``measure.chain_oracle(S)``, which answers those ratios for
+one chain and applies each accepted move (``move``), returning the next
+state. The default oracle is the measure itself; a measure that keeps
+incremental per-chain state returns its own oracle, which updates that state
+in ``move`` (the L-ensemble's inverse cache in :mod:`srmcmc.dpp`).
 """
 from __future__ import annotations
 
@@ -118,12 +118,18 @@ class MeasureOracle:
     def log_weight(self, S: SubsetState) -> float:
         raise NotImplementedError
 
-    def chain_oracle(self, S: SubsetState, stream=0) -> "MeasureOracle":
+    def chain_oracle(self, S: SubsetState) -> "MeasureOracle":
         """The oracle one chain starting at S runs on; the measure itself."""
         return self
 
-    def apply(self, outcome):
-        """Observe one step's outcome; a stateless oracle has nothing to do."""
+    def move(self, S: SubsetState, kind, s, t) -> SubsetState:
+        """The state after an accepted move from S: "add" t, "delete" s, or
+        "swap" s for t."""
+        if kind == "add":
+            return S.with_added(t)
+        if kind == "delete":
+            return S.with_deleted(s)
+        return S.with_swapped(s, t)
 
     def singleton_log_weights(self) -> np.ndarray:
         """log pi({i}) for every element i."""

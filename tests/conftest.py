@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, CholeskyCache, LEnsemble,
-                    ProductMeasure, TableMeasure)
+                    ProductMeasure, TableMeasure, chains)
 
 Q_PATTERN = [0.3, 0.8, 0.5, 0.6, 0.4, 0.7, 0.55, 0.35]
 DIAG_PATTERN = [2.0, 3.0, 1.5, 0.7, 2.5, 0.9, 1.2, 3.5]
@@ -55,6 +55,21 @@ def singular_add_kernel(monkeypatch):
 
     monkeypatch.setattr(CholeskyCache, "add_ratio", forced)
     return np.diag([1.0, 2.0, 3.0, 0.0])
+
+
+@pytest.fixture
+def metropolis_calls(monkeypatch):
+    """Spy on ``chains._metropolis``: the steppers' every Metropolis decision
+    is appended as (kind, acceptance probability min(1, r), s, t)."""
+    calls = []
+    original = chains._metropolis
+
+    def spy(oracle, S, rng, kind, r, s=None, t=None):
+        calls.append((kind, min(1.0, r), s, t))
+        return original(oracle, S, rng, kind, r, s, t)
+
+    monkeypatch.setattr(chains, "_metropolis", spy)
+    return calls
 
 
 def uniform_table(n):

@@ -37,21 +37,24 @@ class TestAddDeleteStep:
             se = math.sqrt((1 / 6) * (5 / 6) / reps)
             assert abs(p - 1 / 6) < 4 * se
 
-    def test_diag_dpp_add_always_accepted_from_empty(self, rng):
+    def test_diag_dpp_add_always_accepted_from_empty(self, rng,
+                                                     metropolis_calls):
         m = LEnsemble(np.diag([2.0, 3.0]))
         st = S([], 2)
         for _ in range(200):
             _, out = step_add_delete(m, st, rng)
             if out.kind == "add":
-                assert out.acceptance_prob == 1.0 and out.accepted
+                assert metropolis_calls[-1][:2] == ("add", 1.0)
+                assert out.accepted
 
-    def test_zero_weight_target_never_accepted(self, rng):
+    def test_zero_weight_target_never_accepted(self, rng, metropolis_calls):
         m = CardinalityConditionedMeasure(ProductMeasure([0.5] * 3), 1)
         st = S([1], 3)
         for _ in range(300):
             new, out = step_add_delete(m, st, rng)
             if out.kind != "hold":
-                assert out.acceptance_prob == 0.0 and not out.accepted
+                assert metropolis_calls[-1][:2] == (out.kind, 0.0)
+                assert not out.accepted
             assert new == st
 
 
@@ -73,14 +76,15 @@ class TestExchangeStep:
             st, _ = step_exchange(m, st, rng)
             assert st.cardinality == 2
 
-    def test_swap_to_zero_weight_rejected(self, rng):
+    def test_swap_to_zero_weight_rejected(self, rng, metropolis_calls):
         # masks 0b00, 0b01, 0b10, 0b11: only {0} has positive weight
         m = TableMeasure([0.0, 1.0, 0.0, 0.0])
         st = S([0], 2)
         for _ in range(100):
             new, out = step_exchange(m, st, rng)
             if out.kind == "swap":
-                assert out.acceptance_prob == 0.0 and not out.accepted
+                assert metropolis_calls[-1][:2] == ("swap", 0.0)
+                assert not out.accepted
             assert new == st
 
     def test_full_or_empty_set_forced_hold(self, rng):
@@ -114,14 +118,15 @@ class TestProjectionStep:
         se = math.sqrt(0.25 / reps)
         assert abs(moved / reps - 0.5) < 4 * se
 
-    def test_corrected_delete_factor_hand_case(self, rng):
+    def test_corrected_delete_factor_hand_case(self, rng, metropolis_calls):
         # diag(2,3): delete from {0} accepts with min{1, (1/2) * 2} = 1.
         m = LEnsemble(np.diag([2.0, 3.0]))
         st = S([0], 2)
         for _ in range(400):
             _, out = step_projection(m, st, rng)
             if out.kind == "delete":
-                assert out.acceptance_prob == pytest.approx(1.0)
+                kind, p, _, _ = metropolis_calls[-1]
+                assert kind == "delete" and p == pytest.approx(1.0)
                 assert out.accepted
 
 

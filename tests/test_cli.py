@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from srmcmc import chains, exact
+from srmcmc import ProductMeasure, chains, exact
 from srmcmc.cli import ConfigError, main, load_kernel_csv, write_kernel_csv
 
 
@@ -87,6 +88,30 @@ class TestSample:
         assert all(0 <= i < n for rec in recs for i in rec["set"])
         if measure["kind"] == "product-k":
             assert {len(rec["set"]) for rec in recs} == {2}
+
+    @pytest.mark.parametrize("cfg,digest", [
+        ({"measure": {"kind": "product", "q": [0.3, 0.8, 0.5, 0.6]},
+          "chain": {"kind": "add-delete", "steps": 300, "seed": 3}},
+         "4b741aa5edf24b78eb8af41abe5da851e56119fe5e35c4e8645d6779f2e752a6"),
+        ({"measure": {"kind": "dpp-L", "preset": "fig1b-like"},
+          "chain": {"kind": "projection", "steps": 600, "seed": 1,
+                    "init": "random-positive"}},
+         "a1489d21771221dda6135de325da70dc0b7cb2738d94c831dcc37e582966ef9c"),
+        ({"measure": {"kind": "product-k", "q": [0.3, 0.8, 0.5, 0.6, 0.4],
+                      "k": 2},
+          "chain": {"kind": "exchange", "steps": 300, "seed": 2,
+                    "init": "random-positive"}},
+         "31bd1d00eda67fb48892b91db927798257cc8ef2150edd14d1c78a42c7806021"),
+    ], ids=["product-add-delete", "fig1b-like-projection",
+            "product-k-exchange"])
+    def test_transcript_bytes_pinned(self, tmp_path, cfg, digest):
+        # Fixed-seed output is part of the interface: a refactor of the
+        # chain path must leave these files byte-identical.
+        out = tmp_path / "out"
+        assert main(["sample", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        data = (out / "chain_00.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestKernelCsv:
@@ -277,6 +302,22 @@ class TestBound:
         assert report["theorem_bound"] == pytest.approx(
             chains.theorem_bound(4, 1, want, 0.05))
 
+    def test_start_set_without_chain_steps(self, tmp_path):
+        # bound runs no chain, so a chain section without steps is enough
+        # to choose the start set.
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.3, 0.8, 0.5, 0.6]},
+            "chain": {"init": "random-positive", "seed": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "bound.json").read_text())
+        spec = chains.ChainSpec("projection", steps=0, seed=2,
+                                init="random-positive")
+        q = ProductMeasure([0.3, 0.8, 0.5, 0.6])
+        want = chains.initial_state(q, spec, chains.chain_rng(2))
+        assert report["s0"] == want.indices().tolist()
+
     @pytest.mark.parametrize("where", ["top", "bound"])
     @pytest.mark.parametrize("eps", [[0.05], "0.05", True])
     def test_bad_eps_rejected(self, tmp_path, capsys, where, eps):
@@ -313,9 +354,16 @@ class TestCompare:
         ({"statistics": [["indicator", 2]]}, {}, "statistic"),
         ({"statistics": [["indicator", -1]]}, {}, "statistic"),
         ({}, {"stepz": 10}, "chain keys"),
+        ({"stride": 0}, {}, "stride"),
+        ({"stride": "a"}, {}, "stride"),
+        ({"stride": True}, {}, "stride"),
+        ({"threshold": None}, {}, "threshold"),
+        ({"threshold": "1.1"}, {}, "threshold"),
+        ({}, {"chains": None}, "chain.chains"),
     ], ids=["threshold-below-1", "threshold-1", "no-statistics",
             "unknown-statistic", "indicator-past-end", "negative-indicator",
-            "unknown-chain-key"])
+            "unknown-chain-key", "stride-0", "stride-string", "stride-bool",
+            "threshold-null", "threshold-string", "chains-null"])
     def test_bad_config_rejected_before_any_chain(self, tmp_path, capsys,
                                                   monkeypatch, compare,
                                                   chain, word):
@@ -388,21 +436,35 @@ def test_flagged_dpp_cache_exits_2(tmp_path, singular_add_kernel, capsys):
     assert "stream 0: DPP cache flagged" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,cfg", [
-    ("check", {"eps": 2}),
+PRODUCT_1 = {"kind": "product", "q": [0.5]}
+
+
+@pytest.mark.parametrize("command,cfg,word", [
+    ("check", {"eps": 2}, "eps"),
     ("bound", {"measure": {"kind": "product", "q": [0.5, 0.5]},
-               "bound": {"S0": [0], "eps": 0.0}}),
-    ("exact", {"measure": {"kind": "product", "q": [0.5] * 21}}),
-    ("sample", {"measure": {"kind": "product", "q": [0.5]}, "chain": [10]}),
-    ("exact", {"measure": {"kind": "product", "q": [0.5]}, "bound": "S0"}),
+               "bound": {"S0": [0], "eps": 0.0}}, "eps"),
+    ("exact", {"measure": {"kind": "product", "q": [0.5] * 21}}, "n <= 20"),
+    ("sample", {"measure": PRODUCT_1, "chain": [10]}, "chain"),
+    ("exact", {"measure": PRODUCT_1, "bound": "S0"}, "bound"),
+    ("sample", {"measure": PRODUCT_1, "chain": {"steps": None}},
+     "chain.steps"),
+    ("sample", {"measure": PRODUCT_1, "chain": {"steps": 5, "chains": None}},
+     "chain.chains"),
+    ("sample", {"measure": PRODUCT_1,
+                "chain": {"steps": 5, "init": "explicit-set", "init_set": 3}},
+     "chain.init_set"),
+    ("sample", {"measure": {"kind": "dpp-L", "rbf": 5},
+                "chain": {"steps": 5}}, "rbf"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
-        "bound-not-object"])
+        "bound-not-object", "steps-null", "chains-null", "init-set-int",
+        "rbf-not-object"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
-                                                    command, cfg):
+                                                    command, cfg, word):
     out = tmp_path / "o"
     assert main([command, "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err
     assert not out.exists()
 
 

@@ -9,8 +9,8 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     psrf, psrf_curve, run_chains)
 
 
-def constant_transcript(n, state, length, kind="add-delete"):
-    t = Transcript(n=n, chain_kind=kind, seed=0, stream=0)
+def constant_transcript(n, state, length):
+    t = Transcript(n=n)
     t.steps = list(range(1, length + 1))
     t.states = [tuple(state)] * length
     t.log_weights = [0.0] * length
@@ -24,8 +24,7 @@ def iid_transcripts(measure, n_chains, length, seed=0):
     for c in range(n_chains):
         rng = np.random.default_rng([seed, c])
         sampler = SpectralSampler(measure)
-        t = Transcript(n=measure.n, chain_kind="add-delete", seed=seed,
-                       stream=c)
+        t = Transcript(n=measure.n)
         for i in range(length):
             st = sampler.sample(rng)
             t.steps.append(i + 1)
@@ -134,7 +133,7 @@ class TestIterationsToThreshold:
     def test_threshold_validation(self):
         m = LEnsemble(np.diag([2.0, 3.0]))
         curve = cardinality_curve(iid_transcripts(m, 3, 10, seed=1))
-        for threshold in (1.0, 0.5, math.nan):
+        for threshold in (1.0, 0.5, math.nan, True, "1.5", None):
             for points in (curve, []):
                 with pytest.raises(ValueError, match="threshold"):
                     first_crossing(points, threshold=threshold)
@@ -146,6 +145,12 @@ class TestIterationsToThreshold:
         stops = [s for s, _ in pts]
         assert stops[0] == 5 and stops[-1] == 1000
         assert all(b - a == 5 for a, b in zip(stops, stops[1:]))
+
+    @pytest.mark.parametrize("stride", [0, -5, 2.0, True, "a"])
+    def test_stride_validation(self, stride):
+        x = np.random.default_rng(2).standard_normal((3, 100))
+        with pytest.raises(ValueError, match="stride"):
+            psrf_curve(x, stride=stride)
 
     @pytest.mark.parametrize("prefix", ["none", "identical", "disjoint"])
     def test_curve_matches_psrf_on_every_prefix(self, prefix):

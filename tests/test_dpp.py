@@ -147,9 +147,9 @@ class TestCholeskyCache:
         m = LEnsemble(np.diag([1.0, 2.0, 3.0, 0.0]))
         cache = CholeskyCache(m.L, S([0, 2], 4).indices())
         assert cache.add_ratio(3) == 0.0
-        cache.apply_add(3)
+        with pytest.raises(ArithmeticError, match="DPP cache flagged"):
+            cache.apply_add(3)
         assert cache.flagged and cache.log_det == NEG_INF
-        assert cache.add_ratio(1) == 0.0 and cache.delete_ratio(0) == 0.0
 
     def test_long_random_walk_drift(self):
         rng = np.random.default_rng(9)

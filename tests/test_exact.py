@@ -484,7 +484,8 @@ STEPPERS = {"add-delete": step_add_delete, "exchange": step_exchange,
 
 @pytest.mark.parametrize("name,measure", fixture_suite(5))
 @pytest.mark.parametrize("kind", sorted(STEPPERS))
-def test_steppers_match_exact_matrices(name, measure, kind):
+def test_steppers_match_exact_matrices(name, measure, kind,
+                                      metropolis_calls):
     """Every proposal's width times its acceptance probability is the exact
     matrix entry for that move, along a walk through the chain oracle."""
     rng = chain_rng(2016)
@@ -492,18 +493,18 @@ def test_steppers_match_exact_matrices(name, measure, kind):
                                          init="random-positive"), rng)
     tm = transition_matrix(measure, kind, cardinality=S.cardinality)
     pos = {m: i for i, m in enumerate(tm.states)}
-    oracle = measure.chain_oracle(S, 0)
+    oracle = measure.chain_oracle(S)
     proposals = 0
     for _ in range(3000):
         nxt, out = STEPPERS[kind](oracle, S, rng)
-        oracle.apply(out)
         if out.kind != "hold":
+            move, p, s, t = metropolis_calls[-1]
+            assert move == out.kind
             m = S.bitmask()
-            m2 = m ^ sum(1 << e for e in (out.s, out.t) if e is not None)
+            m2 = m ^ sum(1 << e for e in (s, t) if e is not None)
             want = tm.P[pos[m], pos[m2]] if m2 in pos else 0.0
-            got = proposal_width(kind, out.kind, measure.n, S.cardinality) \
-                * out.acceptance_prob
-            assert abs(got - want) <= 1e-12, (m, out)
+            got = proposal_width(kind, move, measure.n, S.cardinality) * p
+            assert abs(got - want) <= 1e-12, (m, move, s, t)
             proposals += 1
         S = nxt
-    assert proposals >= 500
+    assert proposals == len(metropolis_calls) >= 500
