@@ -13,8 +13,8 @@ from .dpp import (CholeskyCache, KernelValidationError, LEnsemble,
                   marginal_to_l, rbf_kernel, spectrum_step_kernel,
                   validate_marginal_kernel)
 from .chains import (ChainSpec, MoveOutcome, Transcript, chain_rng,
-                     exchange_bound, run_chain, run_chains, step_add_delete,
-                     step_exchange, step_projection, theorem_bound)
+                     run_chain, run_chains, step_add_delete, step_exchange,
+                     step_projection, theorem_bound)
 from .exact import (ExactDistribution, TransitionMatrix,
                     check_log_submodular, detailed_balance_check,
                     enumerate_distribution, exact_marginals,

@@ -1,4 +1,4 @@
-"""Markov chain steppers, the chain runner, and mixing-time bound calculators.
+"""Markov chain steppers, the chain runner, and the mixing-time bound.
 
 Three lazy chains over subsets: the add-delete Metropolis chain, the Gibbs
 exchange chain for homogeneous measures, and the projection chain that mixes
@@ -53,8 +53,8 @@ class ChainSpec:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
         if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
-        if self.init == "explicit-set" and self.init_set is None:
-            raise ValueError("explicit-set init requires init_set")
+        if (self.init == "explicit-set") != (self.init_set is not None):
+            raise ValueError("explicit-set init and init_set go together")
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,9 @@ def run_chains(measure, spec, n_chains):
 def theorem_bound(n, s0_cardinality, log_pi_s0, eps):
     """Mixing-time upper bound 2 N^2 (log C(N, |S0|) + log 1/pi(S0) + log 1/eps).
 
-    ``log_pi_s0`` is the log of the normalized probability of the start set.
+    It is the exchange-chain bound on the symmetric homogenization, started
+    at the lift of S0. ``log_pi_s0`` is the log of the normalized probability
+    of the start set.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
@@ -232,16 +234,3 @@ def theorem_bound(n, s0_cardinality, log_pi_s0, eps):
         raise ValueError("start set must have positive probability")
     return 2.0 * n * n * (log_binomial(n, s0_cardinality) - log_pi_s0
                           + math.log(1.0 / eps))
-
-
-def exchange_bound(k, m, log_pi_r0, eps):
-    """Exchange-chain bound 2 k (M - k) (log 1/pi(R0) + log 1/eps) for a
-    k-homogeneous measure on M elements; with M = 2N, k = N the prefactor
-    is the same 2 N^2 as :func:`theorem_bound`."""
-    if not 0 < k < m:
-        raise ValueError("need 0 < k < m")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must be in (0, 1]")
-    if not math.isfinite(log_pi_r0):
-        raise ValueError("start set must have positive probability")
-    return 2.0 * k * (m - k) * (-log_pi_r0 + math.log(1.0 / eps))

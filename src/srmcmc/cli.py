@@ -122,42 +122,54 @@ def build_measure(mcfg, seed):
         if src == "rbf":
             r = mcfg["rbf"]
             _require_keys(r, {"points_path", "bandwidth"}, "rbf")
+            bandwidth = _scalar(r, "rbf", "bandwidth", float)
             pts = np.loadtxt(r["points_path"], delimiter=",", ndmin=2)
-            return dpp.rbf_kernel(pts, float(r["bandwidth"]))
+            return dpp.rbf_kernel(pts, bandwidth)
         s = mcfg["spectrum_step"]
         _require_keys(s, {"N", "k", "hi", "lo", "seed"}, "spectrum_step")
-        rng = chains.chain_rng(s.get("seed", seed), stream=10_001)
-        return dpp.spectrum_step_kernel(int(s["N"]), int(s["k"]),
-                                        float(s["hi"]), float(s["lo"]), rng)
+        rng = chains.chain_rng(
+            _scalar(s, "spectrum_step", "seed", int, seed), stream=10_001)
+        return dpp.spectrum_step_kernel(
+            _scalar(s, "spectrum_step", "N"), _scalar(s, "spectrum_step", "k"),
+            _scalar(s, "spectrum_step", "hi", float),
+            _scalar(s, "spectrum_step", "lo", float), rng)
     if kind == "product":
         return measures.ProductMeasure(mcfg["q"])
     if kind == "product-k":
         return measures.CardinalityConditionedMeasure(
-            measures.ProductMeasure(mcfg["q"]), int(mcfg["k"]))
+            measures.ProductMeasure(mcfg["q"]), _scalar(mcfg, "measure", "k"))
     return measures.TableMeasure(mcfg["weights"])
 
 
-def _chain_int(ccfg, key, default=None):
-    """``chain.<key>`` (``default`` when absent); it must be an int."""
-    value = ccfg.get(key, default)
-    if type(value) is not int:
-        raise ConfigError(f"chain.{key} must be an integer, got {value!r}")
-    return value
+def _scalar(cfg, section, key, kind=int, default=None):
+    """``<section>.<key>`` (``default`` when absent) as ``kind``: int takes
+    only a JSON integer, float any JSON number, and neither takes a bool."""
+    value = cfg.get(key, default)
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _elements(cfg, section, key):
+    """``<section>.<key>`` as a tuple; it must be a list of distinct ints."""
+    value = cfg[key]
+    if (type(value) is not list or any(type(i) is not int for i in value)
+            or len(set(value)) != len(value)):
+        raise ConfigError(f"{section}.{key} must be a list of distinct ints")
+    return tuple(value)
 
 
 def build_chain_spec(ccfg, seed, kind=None):
-    init_set = ccfg.get("init_set", [])
-    if type(init_set) is not list or any(type(i) is not int for i in init_set):
-        raise ConfigError(
-            f"chain.init_set must be a list of integers, got {init_set!r}")
     return chains.ChainSpec(
         kind=kind or ccfg.get("kind", "projection"),
-        steps=_chain_int(ccfg, "steps"),
-        burn_in=_chain_int(ccfg, "burn_in", 0),
-        thin=_chain_int(ccfg, "thin", 1),
+        steps=_scalar(ccfg, "chain", "steps"),
+        burn_in=_scalar(ccfg, "chain", "burn_in", int, 0),
+        thin=_scalar(ccfg, "chain", "thin", int, 1),
         seed=seed,
         init=ccfg.get("init", "heaviest-singleton"),
-        init_set=tuple(init_set) if "init_set" in ccfg else None,
+        init_set=(_elements(ccfg, "chain", "init_set")
+                  if "init_set" in ccfg else None),
     )
 
 
@@ -203,10 +215,11 @@ def write_transcript(path, tr):
 
 
 def cmd_sample(args, cfg, seed, out):
-    measure = build_measure(cfg["measure"], seed)
     ccfg = cfg.get("chain", {})
     spec = build_chain_spec(ccfg, seed)
-    for c in range(_chain_int(ccfg, "chains", 1)):
+    n_chains = _scalar(ccfg, "chain", "chains", int, 1)
+    measure = build_measure(cfg["measure"], seed)
+    for c in range(n_chains):
         tr = chains.run_chain(measure, spec, stream=c)
         write_transcript(out / f"chain_{c:02d}.jsonl", tr)
     return 0
@@ -243,8 +256,7 @@ def _fixture_suite(seed):
 
 def _is_eps(e):
     """True for one number in (0, 1]; booleans are not numbers here."""
-    return (isinstance(e, (int, float)) and not isinstance(e, bool)
-            and 0.0 < e <= 1.0)
+    return type(e) in (int, float) and 0.0 < e <= 1.0
 
 
 def cmd_check(args, cfg, seed, out):
@@ -308,17 +320,17 @@ def cmd_bound(args, cfg, seed, out):
     if not _is_eps(eps):
         raise ConfigError(f"eps must be one number in (0, 1], got {eps!r}")
     eps = float(eps)
+    s0 = _elements(bcfg, "bound", "S0") if "S0" in bcfg else None
     measure = build_measure(cfg["measure"], seed)
     n = measure.n
-    s0 = bcfg.get("S0")
     if s0 is None:
         # No chain runs here, so chain.steps is not needed.
         spec = build_chain_spec({"steps": 0, **cfg.get("chain", {})}, seed)
-        s0 = [int(i) for i in chains.initial_state(
-            measure, spec, chains.chain_rng(seed)).indices()]
+        s0 = chains.initial_state(
+            measure, spec, chains.chain_rng(seed)).indices().tolist()
     S0 = measures.SubsetState.from_indices(s0, n)
     if "log_pi_S0" in bcfg:
-        log_pi = float(bcfg["log_pi_S0"])
+        log_pi = _scalar(bcfg, "bound", "log_pi_S0", float)
     else:
         log_pi = exact.enumerate_distribution(measure).log_prob(S0.bitmask())
     if log_pi == measures.NEG_INF:
@@ -329,27 +341,23 @@ def cmd_bound(args, cfg, seed, out):
     k0 = S0.cardinality
     log_choose = measures.log_binomial(n, k0)
     tb = chains.theorem_bound(n, k0, log_pi, eps)
-    # The lift R0 of S0 to the symmetric homogenization (2N elements, N-
-    # homogeneous) has pi_sh(R0) = pi(S0) / C(N, |S0|).
-    eb = chains.exchange_bound(n, 2 * n, log_pi - log_choose, eps)
     lines = [
         f"N = {n}, |S0| = {k0}, log pi(S0) = {log_pi:.6f}, eps = {eps}",
         f"  term log C(N,|S0|)   = {log_choose:.6f}",
         f"  term log 1/pi(S0)    = {-log_pi:.6f}",
         f"  term log 1/eps       = {math.log(1.0 / eps):.6f}",
         f"projection-chain bound  = {tb:.4f}",
-        f"exchange bound (M=2N,k=N) = {eb:.4f}",
     ]
     _write_report(out / "bound.json", {
         "n": n, "s0": sorted(s0), "log_pi_s0": log_pi, "eps": eps,
-        "theorem_bound": tb, "exchange_bound": eb,
+        "theorem_bound": tb,
     }, "\n".join(lines))
     return 0
 
 
 def cmd_compare(args, cfg, seed, out):
     ccfg = cfg.get("chain", {})
-    n_chains = _chain_int(ccfg, "chains", diagnostics.DEFAULT_CHAINS)
+    n_chains = _scalar(ccfg, "chain", "chains", int, diagnostics.DEFAULT_CHAINS)
     if n_chains < 2:
         raise ConfigError("compare needs at least 2 chains for PSRF")
     pcfg = cfg.get("compare", {})
@@ -357,15 +365,15 @@ def cmd_compare(args, cfg, seed, out):
     diagnostics.check_threshold(threshold)
     stride = pcfg.get("stride")
     diagnostics.check_stride(stride)
-    stats = [tuple(s) if isinstance(s, list) else s
-             for s in pcfg.get("statistics", ["cardinality"])]
-    if not stats:
-        raise ConfigError("compare.statistics must not be empty")
+    stats = pcfg.get("statistics", ["cardinality"])
+    if type(stats) is not list or not stats:
+        raise ConfigError("compare.statistics must be a nonempty list")
+    stats = [tuple(s) if isinstance(s, list) else s for s in stats]
+    specs = [build_chain_spec(ccfg, seed, kind)
+             for kind in ("add-delete", "projection")]
     measure = build_measure(cfg["measure"], seed)
     for stat in stats:
         diagnostics.check_statistic(stat, measure.n)
-    specs = [build_chain_spec(ccfg, seed, kind)
-             for kind in ("add-delete", "projection")]
 
     rows = []
     curves = []
@@ -414,16 +422,16 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         seed = (args.seed if args.seed is not None
-                else _chain_int(cfg.get("chain", {}), "seed", 0))
+                else _scalar(cfg.get("chain", {}), "chain", "seed", int, 0))
         return args.fn(args, cfg, seed, Path(args.out))
+    except (ArithmeticError, np.linalg.LinAlgError,
+            dpp.KernelValidationError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        # Kernel validation is a numeric failure, not a config problem.
-        return 2 if isinstance(e, dpp.KernelValidationError) else 1
-    except (ArithmeticError, np.linalg.LinAlgError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

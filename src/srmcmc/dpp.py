@@ -31,7 +31,10 @@ def _check_symmetric(M, tol, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise KernelValidationError(f"{name} must be a square matrix")
-    asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused below
+        asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
+    if not math.isfinite(asym):
+        raise KernelValidationError(f"{name} has a NaN or infinite entry")
     if asym > tol:
         raise KernelValidationError(f"{name} asymmetric: max |M - M^T| = {asym:.3e}")
     return 0.5 * (M + M.T)

@@ -1,11 +1,11 @@
 """Brute-force oracles for small ground sets.
 
-Everything here enumerates subsets directly from ``log_weight``, one call per
-subset (for the symmetric homogenization, per subset of its size-N shell,
-the only one with weight), and never reuses the chains' ratio fast paths or
-any batched determinant path of a particular measure, so these functions
-serve as independent checks of stationarity, detailed balance, the
-exchange-chain lumping argument, and total-variation mixing times. Only the
+Everything here enumerates subsets in one loop, ``_log_weights``, with one
+``log_weight`` call per subset (for the symmetric homogenization, per subset
+of its size-N shell, the only one with weight). It never reuses the chains'
+ratio fast paths or any batched determinant path of a measure, so these
+functions serve as independent checks of stationarity, detailed balance,
+the exchange-chain lumping argument and total-variation mixing times. Only the
 bookkeeping around those calls is vectorized: bitmask states, marginal sums,
 and one Metropolis builder that turns each chain's table of XOR moves into
 its matrix. The lumped matrix is the homogenization's exchange matrix, built
@@ -47,10 +47,13 @@ class TransitionMatrix:
     P: np.ndarray
 
 
-def _log_weights(measure: MeasureOracle, n):
-    lw = np.empty(1 << n)
+def _log_weights(measure: MeasureOracle, n, shell=None):
+    """Log weight of every subset by bitmask, one ``log_weight`` call each;
+    with ``shell``, only the subsets of that size, and -inf elsewhere."""
+    lw = np.full(1 << n, NEG_INF)
     for mask in range(1 << n):
-        lw[mask] = measure.log_weight(SubsetState.from_bitmask(mask, n))
+        if shell is None or bin(mask).count("1") == shell:
+            lw[mask] = measure.log_weight(SubsetState.from_bitmask(mask, n))
     return lw
 
 
@@ -212,11 +215,7 @@ def lumped_exchange_matrix(base: MeasureOracle, lump_tol=1e-12) -> TransitionMat
         raise ValueError("lumped exchange matrices capped at n <= 6")
     # The homogenization is zero off its size-N shell, so only the shell is
     # enumerated.
-    hom = SymmetricHomogenization(base)
-    lw = np.full(1 << 2 * n, NEG_INF)
-    for mask in range(1 << 2 * n):
-        if bin(mask).count("1") == n:
-            lw[mask] = hom.log_weight(SubsetState.from_bitmask(mask, 2 * n))
+    lw = _log_weights(SymmetricHomogenization(base), 2 * n, shell=n)
     r_states, bits = _states(lw, 2 * n, n)
 
     # Sum each exchange row over the R with the same projection S, then

@@ -2,7 +2,7 @@
 
 All weights live in log domain; ``-inf`` is the first-class encoding of a
 zero-weight set. The chain steppers only ever consume the ratio operations,
-which measures may override with faster specializations.
+which share one default body and may be overridden by faster specializations.
 
 A chain runs on ``measure.chain_oracle(S)``, which answers those ratios for
 one chain and applies each accepted move (``move``), returning the next
@@ -109,8 +109,8 @@ class MeasureOracle:
     """Unnormalized subset measure exposing log weights and move ratios.
 
     Subclasses must set ``n`` (ground set size) and implement ``log_weight``.
-    The ratio operations have a default two-evaluation implementation and may
-    be overridden where a faster specialization exists.
+    The three ratio operations share one default two-evaluation body,
+    ``_ratio``, and may be overridden where a faster specialization exists.
     """
 
     n: int
@@ -148,23 +148,23 @@ class MeasureOracle:
             raise ValueError("ratio undefined: current set has zero weight")
         return lw
 
+    def _ratio(self, S, proposal):
+        """pi(proposal) / pi(S) from two log weights; requires pi(S) > 0."""
+        lw = self._base_log_weight(S)
+        lw_new = self.log_weight(proposal)
+        return exp_ratio(lw_new - lw if lw_new != NEG_INF else NEG_INF)
+
     def add_ratio(self, S: SubsetState, t: int) -> float:
         """pi(S + t) / pi(S); requires t not in S and pi(S) > 0."""
-        lw = self._base_log_weight(S)
-        lw_new = self.log_weight(S.with_added(t))
-        return exp_ratio(lw_new - lw if lw_new != NEG_INF else NEG_INF)
+        return self._ratio(S, S.with_added(t))
 
     def delete_ratio(self, S: SubsetState, s: int) -> float:
         """pi(S - s) / pi(S); requires s in S and pi(S) > 0."""
-        lw = self._base_log_weight(S)
-        lw_new = self.log_weight(S.with_deleted(s))
-        return exp_ratio(lw_new - lw if lw_new != NEG_INF else NEG_INF)
+        return self._ratio(S, S.with_deleted(s))
 
     def swap_ratio(self, S: SubsetState, s: int, t: int) -> float:
         """pi(S - s + t) / pi(S); requires s in S, t not in S, pi(S) > 0."""
-        lw = self._base_log_weight(S)
-        lw_new = self.log_weight(S.with_swapped(s, t))
-        return exp_ratio(lw_new - lw if lw_new != NEG_INF else NEG_INF)
+        return self._ratio(S, S.with_swapped(s, t))
 
 
 class ProductMeasure(MeasureOracle):
@@ -172,8 +172,8 @@ class ProductMeasure(MeasureOracle):
 
     def __init__(self, q):
         q = np.asarray(q, dtype=float)
-        if q.ndim != 1 or np.any(q < 0) or np.any(q > 1):
-            raise ValueError("q must be a vector with entries in [0, 1]")
+        if q.ndim != 1 or not np.all((q >= 0) & (q <= 1)):
+            raise ValueError("q must be a vector in [0, 1]^n, without NaN")
         self.q = q
         self.n = q.shape[0]
         with np.errstate(divide="ignore"):
@@ -234,8 +234,8 @@ class TableMeasure(MeasureOracle):
             raise ValueError("weights length must be a power of two")
         if n > self.MAX_N:
             raise ValueError(f"table measure capped at n <= {self.MAX_N}")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((weights >= 0) & (weights < math.inf)):
+            raise ValueError("weights must be finite and nonnegative")
         if not np.any(weights > 0):
             raise ValueError("at least one weight must be positive")
         self.n = n

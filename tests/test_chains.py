@@ -7,11 +7,11 @@ import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     ProductMeasure, SubsetState, TableMeasure, chain_rng,
-                    exchange_bound, run_chain, step_add_delete, step_exchange,
+                    run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
 from srmcmc.chains import initial_state
 from srmcmc.dpp import rbf_kernel, spectrum_step_kernel
-from srmcmc.measures import MeasureOracle, log_binomial
+from srmcmc.measures import MeasureOracle
 
 from conftest import product_fixture, random_psd_fixture, uniform_table
 
@@ -194,6 +194,15 @@ class TestRunChain:
                                     init="random-positive"))
         assert all(len(s) == 2 for s in tr.states)
 
+    @pytest.mark.parametrize("init,init_set", [
+        ("explicit-set", None), ("heaviest-singleton", (0, 2)),
+        ("random-positive", ()),
+    ])
+    def test_init_set_only_with_explicit_set(self, init, init_set):
+        # An init_set beside another init would be silently ignored.
+        with pytest.raises(ValueError, match="init_set"):
+            ChainSpec("add-delete", steps=0, init=init, init_set=init_set)
+
     def test_heaviest_singleton_picks_argmax(self):
         m = ProductMeasure([0.3, 0.8, 0.5])
         st = initial_state(m, ChainSpec("add-delete", steps=1, seed=0),
@@ -330,19 +339,3 @@ class TestBounds:
             theorem_bound(4, 2, float("-inf"), 0.05)
         with pytest.raises(ValueError):
             theorem_bound(4, 2, -1.0, 0.0)
-
-    def test_exchange_bound_examples(self):
-        got = exchange_bound(1, 2, math.log(0.7), 0.05)
-        assert got == pytest.approx(2 * (math.log(1 / 0.7) + math.log(20)))
-        assert got == pytest.approx(6.705, abs=1e-3)
-        assert exchange_bound(3, 7, 0.0, 0.1) == \
-            pytest.approx(2 * 3 * 4 * math.log(10))
-
-    def test_exchange_bound_prefactor_matches_theorem(self):
-        # With M = 2N, k = N the two bounds differ by 2 N^2 log C(N, k0).
-        for n, k0 in ((3, 1), (6, 3), (10, 7)):
-            log_pi, eps = -2.5, 0.05
-            lhs = theorem_bound(n, k0, log_pi, eps)
-            rhs = 2 * n * n * log_binomial(n, k0) + \
-                exchange_bound(n, 2 * n, log_pi, eps)
-            assert lhs == pytest.approx(rhs, rel=1e-12)

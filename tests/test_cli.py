@@ -275,17 +275,6 @@ class TestBound:
         want = 2 * 16 * (math.log(6) + math.log(16) + math.log(100))
         assert report["theorem_bound"] == pytest.approx(want)
 
-    def test_exchange_bound_equals_projection_bound(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "measure": {"kind": "product", "q": [0.5] * 4},
-            "bound": {"S0": [0, 1], "eps": 0.05},
-        })
-        out = tmp_path / "out"
-        assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads((out / "bound.json").read_text())
-        assert report["exchange_bound"] == \
-            pytest.approx(report["theorem_bound"], rel=1e-12, abs=0)
-
     def test_start_set_from_default_init(self, tmp_path):
         q = [0.3, 0.8, 0.5, 0.6]
         cfg = write_config(tmp_path, {
@@ -317,6 +306,27 @@ class TestBound:
         q = ProductMeasure([0.3, 0.8, 0.5, 0.6])
         want = chains.initial_state(q, spec, chains.chain_rng(2))
         assert report["s0"] == want.indices().tolist()
+
+    @pytest.mark.parametrize("cfg,digest", [
+        ({"measure": {"kind": "product", "q": [0.3, 0.8, 0.5, 0.6]},
+          "bound": {"S0": [2, 0], "eps": 0.01}},
+         "4e9ce178e5d553caf4096501d4135ec4e93a8fcb6c81652b0c4878b315b54e0e"),
+        ({"measure": {"kind": "dpp-L",
+                      "spectrum_step": {"N": 8, "k": 4, "hi": 50.0,
+                                        "lo": 0.02, "seed": 2}},
+          "chain": {"init": "random-positive", "seed": 4}},
+         "1408a83a89a90cd37848f181f67423601a113db7804350d7e015abe0b30ad700"),
+    ], ids=["explicit-S0", "derived-S0"])
+    def test_bound_json_pinned(self, tmp_path, capsys, cfg, digest):
+        # The report is fixed byte for byte: its fields are n, s0,
+        # log_pi_s0, eps and theorem_bound, and nothing else.
+        out = tmp_path / "out"
+        assert main(["bound", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        data = (out / "bound.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1].startswith("projection-chain")
 
     @pytest.mark.parametrize("where", ["top", "bound"])
     @pytest.mark.parametrize("eps", [[0.05], "0.05", True])
@@ -437,6 +447,8 @@ def test_flagged_dpp_cache_exits_2(tmp_path, singular_add_kernel, capsys):
 
 
 PRODUCT_1 = {"kind": "product", "q": [0.5]}
+PRODUCT_3 = {"kind": "product", "q": [0.3, 0.8, 0.5]}
+STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
 
 
 @pytest.mark.parametrize("command,cfg,word", [
@@ -455,9 +467,51 @@ PRODUCT_1 = {"kind": "product", "q": [0.5]}
      "chain.init_set"),
     ("sample", {"measure": {"kind": "dpp-L", "rbf": 5},
                 "chain": {"steps": 5}}, "rbf"),
+    ("compare", {"measure": PRODUCT_1, "chain": {"steps": 5, "chains": 2},
+                 "compare": {"statistics": 5}}, "compare.statistics"),
+    ("bound", {"measure": PRODUCT_3, "bound": {"S0": 3}}, "bound.S0"),
+    ("bound", {"measure": PRODUCT_3, "bound": {"S0": [True]}}, "bound.S0"),
+    ("bound", {"measure": PRODUCT_3, "bound": {"S0": [0, 0]}}, "bound.S0"),
+    ("sample", {"measure": PRODUCT_3,
+                "chain": {"steps": 0, "init_set": [0, 2]}}, "init_set"),
+    ("compare", {"measure": PRODUCT_3,
+                 "chain": {"steps": 5, "chains": 2, "init_set": [0, 2]}},
+     "init_set"),
+    ("bound", {"measure": PRODUCT_3, "chain": {"init_set": [0, 2]}},
+     "init_set"),
+    ("sample", {"measure": PRODUCT_3,
+                "chain": {"steps": 5, "init": "explicit-set",
+                          "init_set": [0, 0]}}, "chain.init_set"),
+    ("exact", {"measure": {**PRODUCT_3, "kind": "product-k", "k": 2.7}},
+     "measure.k"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "N": 4.0}}},
+     "spectrum_step.N"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "k": True}}},
+     "spectrum_step.k"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "seed": 1.5}}},
+     "spectrum_step.seed"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "hi": "5"}}},
+     "spectrum_step.hi"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "lo": None}}},
+     "spectrum_step.lo"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "rbf": {"points_path": "p.csv",
+                                   "bandwidth": True}}}, "rbf.bandwidth"),
+    ("bound", {"measure": PRODUCT_3,
+               "bound": {"S0": [0], "log_pi_S0": True}}, "bound.log_pi_S0"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
         "bound-not-object", "steps-null", "chains-null", "init-set-int",
-        "rbf-not-object"])
+        "rbf-not-object", "statistics-int", "S0-int", "S0-bool", "S0-repeat",
+        "sample-init-set-ignored", "compare-init-set-ignored",
+        "bound-init-set-ignored", "init-set-repeat", "k-float",
+        "spectrum-N-float", "spectrum-k-bool", "spectrum-seed-float",
+        "spectrum-hi-string", "spectrum-lo-null", "bandwidth-bool",
+        "log-pi-bool"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                                                     command, cfg, word):
     out = tmp_path / "o"
@@ -465,6 +519,21 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err
+    assert not out.exists()
+
+
+def test_linalg_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but a failed eigensolve is a numeric
+    # failure, not a config problem.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    cfg = write_config(tmp_path, {"measure": {"kind": "dpp-L",
+                                              "spectrum_step": STEP_4}})
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    assert "did not converge" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -37,6 +37,17 @@ class TestKernelValidation:
         with pytest.raises(KernelValidationError):
             LEnsemble(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        # A NaN would pass the symmetry and spectrum checks, and a chain
+        # would then accept every NaN ratio.
+        M = np.eye(2) * 0.5
+        M[where] = M[where[::-1]] = bad
+        for build in (LEnsemble, validate_marginal_kernel, marginal_to_l):
+            with pytest.raises(KernelValidationError, match="NaN or inf"):
+                build(M)
+
 
 class TestConversions:
     def test_marginal_to_l_diag(self):

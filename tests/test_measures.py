@@ -184,6 +184,15 @@ def test_table_measure_validation():
         TableMeasure([1.0, -1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    # A chain on a NaN weight would accept every move into or out of it.
+    with pytest.raises(ValueError, match="NaN"):
+        ProductMeasure([bad, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        TableMeasure([1.0, bad, 0.5, 2.0])
+
+
 def test_subset_state_basics():
     st = S([1, 3], 5)
     assert st.cardinality == 2
