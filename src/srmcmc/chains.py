@@ -125,7 +125,7 @@ def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
     if k == 0 or k == n or rng.random() >= 0.5:
         return S, HOLD
     s = int(S.indices()[rng.integers(k)])
-    t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
+    t = int((~S.membership).nonzero()[0][rng.integers(n - k)])
     return _metropolis(measure, S, rng, "swap", measure.swap_ratio(S, s, t),
                        s=s, t=t)
 
@@ -143,11 +143,11 @@ def step_projection(measure: MeasureOracle, S: SubsetState, rng):
     q = rng.random()
     n2 = 2.0 * n * n
     if q < (n - k) ** 2 / n2:
-        t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
+        t = int((~S.membership).nonzero()[0][rng.integers(n - k)])
         r = measure.add_ratio(S, t) * (k + 1) / (n - k)
         return _metropolis(measure, S, rng, "add", r, t=t)
     if q < (n - k) / (2.0 * n):
-        t = int(np.flatnonzero(~S.membership)[rng.integers(n - k)])
+        t = int((~S.membership).nonzero()[0][rng.integers(n - k)])
         s = int(S.indices()[rng.integers(k)])
         return _metropolis(measure, S, rng, "swap",
                            measure.swap_ratio(S, s, t), s=s, t=t)

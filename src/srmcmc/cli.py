@@ -134,11 +134,20 @@ def build_measure(mcfg, seed):
             _scalar(s, "spectrum_step", "hi", float),
             _scalar(s, "spectrum_step", "lo", float), rng)
     if kind == "product":
-        return measures.ProductMeasure(mcfg["q"])
+        return measures.ProductMeasure(_numbers(mcfg, "q"))
     if kind == "product-k":
         return measures.CardinalityConditionedMeasure(
-            measures.ProductMeasure(mcfg["q"]), _scalar(mcfg, "measure", "k"))
-    return measures.TableMeasure(mcfg["weights"])
+            measures.ProductMeasure(_numbers(mcfg, "q")),
+            _scalar(mcfg, "measure", "k"))
+    return measures.TableMeasure(_numbers(mcfg, "weights"))
+
+
+def _numbers(mcfg, key):
+    """``measure.<key>``; it must be a list of JSON numbers, not bools."""
+    value = mcfg[key]
+    if type(value) is not list or {type(v) for v in value} - {int, float}:
+        raise ConfigError(f"measure.{key} must be a list of numbers")
+    return value
 
 
 def _scalar(cfg, section, key, kind=int, default=None):
@@ -151,16 +160,18 @@ def _scalar(cfg, section, key, kind=int, default=None):
     return kind(value)
 
 
-def _elements(cfg, section, key):
-    """``<section>.<key>`` as a tuple; it must be a list of distinct ints."""
+def _elements(cfg, section, key, n):
+    """``<section>.<key>`` as a tuple; it must list distinct ints in [0, n)."""
     value = cfg[key]
-    if (type(value) is not list or any(type(i) is not int for i in value)
+    if (type(value) is not list
+            or any(type(i) is not int or not 0 <= i < n for i in value)
             or len(set(value)) != len(value)):
-        raise ConfigError(f"{section}.{key} must be a list of distinct ints")
+        raise ConfigError(
+            f"{section}.{key} must be a list of distinct ints in [0, {n})")
     return tuple(value)
 
 
-def build_chain_spec(ccfg, seed, kind=None):
+def build_chain_spec(ccfg, seed, n, kind=None):
     return chains.ChainSpec(
         kind=kind or ccfg.get("kind", "projection"),
         steps=_scalar(ccfg, "chain", "steps"),
@@ -168,7 +179,7 @@ def build_chain_spec(ccfg, seed, kind=None):
         thin=_scalar(ccfg, "chain", "thin", int, 1),
         seed=seed,
         init=ccfg.get("init", "heaviest-singleton"),
-        init_set=(_elements(ccfg, "chain", "init_set")
+        init_set=(_elements(ccfg, "chain", "init_set", n)
                   if "init_set" in ccfg else None),
     )
 
@@ -216,9 +227,9 @@ def write_transcript(path, tr):
 
 def cmd_sample(args, cfg, seed, out):
     ccfg = cfg.get("chain", {})
-    spec = build_chain_spec(ccfg, seed)
-    n_chains = _scalar(ccfg, "chain", "chains", int, 1)
     measure = build_measure(cfg["measure"], seed)
+    spec = build_chain_spec(ccfg, seed, measure.n)
+    n_chains = _scalar(ccfg, "chain", "chains", int, 1)
     for c in range(n_chains):
         tr = chains.run_chain(measure, spec, stream=c)
         write_transcript(out / f"chain_{c:02d}.jsonl", tr)
@@ -320,12 +331,12 @@ def cmd_bound(args, cfg, seed, out):
     if not _is_eps(eps):
         raise ConfigError(f"eps must be one number in (0, 1], got {eps!r}")
     eps = float(eps)
-    s0 = _elements(bcfg, "bound", "S0") if "S0" in bcfg else None
     measure = build_measure(cfg["measure"], seed)
     n = measure.n
+    s0 = _elements(bcfg, "bound", "S0", n) if "S0" in bcfg else None
     if s0 is None:
         # No chain runs here, so chain.steps is not needed.
-        spec = build_chain_spec({"steps": 0, **cfg.get("chain", {})}, seed)
+        spec = build_chain_spec({"steps": 0, **cfg.get("chain", {})}, seed, n)
         s0 = chains.initial_state(
             measure, spec, chains.chain_rng(seed)).indices().tolist()
     S0 = measures.SubsetState.from_indices(s0, n)
@@ -369,9 +380,9 @@ def cmd_compare(args, cfg, seed, out):
     if type(stats) is not list or not stats:
         raise ConfigError("compare.statistics must be a nonempty list")
     stats = [tuple(s) if isinstance(s, list) else s for s in stats]
-    specs = [build_chain_spec(ccfg, seed, kind)
-             for kind in ("add-delete", "projection")]
     measure = build_measure(cfg["measure"], seed)
+    specs = [build_chain_spec(ccfg, seed, measure.n, kind)
+             for kind in ("add-delete", "projection")]
     for stat in stats:
         diagnostics.check_statistic(stat, measure.n)
 

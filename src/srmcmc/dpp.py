@@ -7,7 +7,9 @@ Schur complements, read in closed form from the inverse of L_S that
 :class:`CholeskyCache` maintains incrementally; it factors L_S by Cholesky
 only when it rebuilds. ``LEnsemble.chain_oracle`` gives each chain a
 :class:`_CachedDppOracle`, which answers the ratios from its own cache and
-applies every accepted move to it before returning the next state.
+applies every accepted move to it before returning the next state. A k-DPP,
+``CardinalityConditionedMeasure(LEnsemble, k)``, runs its swaps on the same
+oracle.
 """
 from __future__ import annotations
 

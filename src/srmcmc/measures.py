@@ -8,7 +8,9 @@ A chain runs on ``measure.chain_oracle(S)``, which answers those ratios for
 one chain and applies each accepted move (``move``), returning the next
 state. The default oracle is the measure itself; a measure that keeps
 incremental per-chain state returns its own oracle, which updates that state
-in ``move`` (the L-ensemble's inverse cache in :mod:`srmcmc.dpp`).
+in ``move`` (the L-ensemble's inverse cache in :mod:`srmcmc.dpp`). A
+cardinality-conditioned measure wraps its base's oracle, so a k-DPP reads
+its swap ratios from that cache; adds and deletes leave the shell.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ class SubsetState:
         return self.membership.shape[0]
 
     def indices(self):
-        return np.flatnonzero(self.membership)
+        return self.membership.nonzero()[0]
 
     def contains(self, i):
         return bool(self.membership[i])
@@ -141,16 +143,12 @@ class MeasureOracle:
         if S.n != self.n:
             raise ValueError(f"state has ground set size {S.n}, expected {self.n}")
 
-    def _base_log_weight(self, S):
+    def _ratio(self, S, proposal):
+        """pi(proposal) / pi(S) from two log weights; requires pi(S) > 0."""
         self._check(S)
         lw = self.log_weight(S)
         if lw == NEG_INF:
             raise ValueError("ratio undefined: current set has zero weight")
-        return lw
-
-    def _ratio(self, S, proposal):
-        """pi(proposal) / pi(S) from two log weights; requires pi(S) > 0."""
-        lw = self._base_log_weight(S)
         lw_new = self.log_weight(proposal)
         return exp_ratio(lw_new - lw if lw_new != NEG_INF else NEG_INF)
 
@@ -185,8 +183,17 @@ class ProductMeasure(MeasureOracle):
         m = S.membership
         return float(np.sum(np.where(m, self._logq, self._log1mq)))
 
+    def singleton_log_weights(self):
+        """log pi({i}) = log q_i + sum_{j != i} log(1 - q_j), in O(N)."""
+        ones = self.q == 1.0
+        log1mq = np.where(ones, 0.0, self._log1mq)
+        rest = log1mq.sum() - log1mq
+        # A singleton that leaves out an element with q_j = 1 has weight 0.
+        rest[np.count_nonzero(ones) - ones > 0] = NEG_INF
+        return self._logq + rest
+
     def add_ratio(self, S, t):
-        self._base_log_weight(S)
+        """q_t / (1 - q_t); requires t not in S and pi(S) > 0, unchecked."""
         if S.membership[t]:
             raise ValueError(f"element {t} already in set")
         qt = self.q[t]
@@ -195,7 +202,7 @@ class ProductMeasure(MeasureOracle):
         return qt / (1.0 - qt)
 
     def delete_ratio(self, S, s):
-        self._base_log_weight(S)
+        """(1 - q_s) / q_s; requires s in S and pi(S) > 0, unchecked."""
         if not S.membership[s]:
             raise ValueError(f"element {s} not in set")
         qs = self.q[s]
@@ -219,6 +226,36 @@ class CardinalityConditionedMeasure(MeasureOracle):
         if S.cardinality != self.k:
             return NEG_INF
         return self.base.log_weight(S)
+
+    def chain_oracle(self, S: SubsetState) -> "_ShellOracle":
+        """A per-chain oracle that wraps the base's oracle for S."""
+        return _ShellOracle(self, S)
+
+
+class _ShellOracle(MeasureOracle):
+    """Per-chain oracle of a cardinality-conditioned measure: swaps and
+    accepted moves go to the base's per-chain oracle, an add or a delete
+    leaves the shell (ratio 0), and ``log_weight`` is the measure's own."""
+
+    def __init__(self, measure: CardinalityConditionedMeasure, S):
+        self.n = measure.n
+        self.measure = measure
+        self.base = measure.base.chain_oracle(S)
+
+    def log_weight(self, S):
+        return self.measure.log_weight(S)
+
+    def add_ratio(self, S, t):
+        return 0.0
+
+    def delete_ratio(self, S, s):
+        return 0.0
+
+    def swap_ratio(self, S, s, t):
+        return self.base.swap_ratio(S, s, t)
+
+    def move(self, S, kind, s, t):
+        return self.base.move(S, kind, s, t)
 
 
 class TableMeasure(MeasureOracle):

@@ -10,8 +10,8 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
 from srmcmc.chains import initial_state
-from srmcmc.dpp import rbf_kernel, spectrum_step_kernel
-from srmcmc.measures import MeasureOracle
+from srmcmc.dpp import CholeskyCache, rbf_kernel, spectrum_step_kernel
+from srmcmc.measures import NEG_INF, MeasureOracle
 
 from conftest import product_fixture, random_psd_fixture, uniform_table
 
@@ -240,6 +240,39 @@ class TestCachedDppPath:
             run_chain(m, ChainSpec("add-delete", steps=1000, seed=0),
                       stream=3)
 
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    @pytest.mark.parametrize("kind", ["exchange", "projection"])
+    def test_kdpp_cache_matches_generic_ratios(self, kind, seed):
+        # The k-DPP's swaps run on its base's cache; the plain base answers
+        # them with two log-determinants.
+        m = random_psd_fixture(12)
+        spec = ChainSpec(kind, steps=5000, thin=5, seed=seed,
+                         init="random-positive")
+        cached = run_chain(CardinalityConditionedMeasure(m, 5), spec)
+        generic = run_chain(CardinalityConditionedMeasure(_PlainOracle(m), 5),
+                            spec)
+        assert cached.states == generic.states
+        assert cached.moves == generic.moves
+        assert cached.log_weights == generic.log_weights
+        assert len(set(cached.states)) > 20
+        assert {(o.kind, o.accepted) for o in cached.moves} >= {
+            ("swap", True), ("swap", False)}
+
+    def test_kdpp_swap_into_zero_row_raises_naming_stream(self,
+                                                          monkeypatch):
+        # Element 3 has a zero row, so L_{S-s+3} is singular; the swap ratio
+        # into 3 is forced to 1, so the chain accepts that swap.
+        original = CholeskyCache.swap_ratio
+        monkeypatch.setattr(CholeskyCache, "swap_ratio",
+                            lambda self, s, t: 1.0 if t == 3
+                            else original(self, s, t))
+        m = CardinalityConditionedMeasure(
+            LEnsemble(np.diag([1.0, 2.0, 3.0, 0.0])), 2)
+        with pytest.raises(ArithmeticError,
+                           match="stream 2: DPP cache flagged"):
+            run_chain(m, ChainSpec("exchange", steps=1000, seed=0,
+                                   init="random-positive"), stream=2)
+
 
 class TestHeaviestSingletonStart:
     KERNELS = {
@@ -261,6 +294,31 @@ class TestHeaviestSingletonStart:
         st = initial_state(m, spec, chain_rng(0))
         assert list(st.indices()) == [loop.index(max(loop))]
         assert st == initial_state(_PlainOracle(m), spec, chain_rng(0))
+
+    PRODUCT_Q = {
+        "random": np.random.default_rng(5).random(40),
+        "zeros-and-a-one": np.array([0.0, 0.3, 1.0, 0.0, 0.6, 0.9]),
+        "two-ones": np.array([1.0, 0.3, 1.0, 0.6]),
+        "tied": np.random.default_rng(1).choice([0.2, 0.5, 0.85], 12),
+    }
+
+    @pytest.mark.parametrize("name", list(PRODUCT_Q))
+    def test_product_start_matches_log_weight_loop(self, name):
+        m = ProductMeasure(self.PRODUCT_Q[name])
+        lw = m.singleton_log_weights()
+        loop = np.array([m.log_weight(S([i], m.n)) for i in range(m.n)])
+        assert np.array_equal(lw == NEG_INF, loop == NEG_INF)
+        finite = loop > NEG_INF
+        np.testing.assert_allclose(lw[finite], loop[finite], rtol=0,
+                                   atol=1e-12)
+        # Equal q give equal weights, so the start is the first heaviest
+        # singleton. The loop's sums round differently for tied elements,
+        # so its argmax among them is not compared.
+        heaviest = m.q == m.q.max()
+        assert len(set(lw[heaviest])) == 1
+        assert np.argmax(lw) == np.argmax(m.q)
+        if name != "tied":
+            assert np.argmax(lw) == np.argmax(loop)
 
     def test_zero_diagonal_kernel_raises(self):
         with pytest.raises(ValueError, match="no singleton"):

@@ -447,6 +447,7 @@ def test_flagged_dpp_cache_exits_2(tmp_path, singular_add_kernel, capsys):
 
 
 PRODUCT_1 = {"kind": "product", "q": [0.5]}
+PRODUCT_2 = {"kind": "product", "q": [0.5, 0.5]}
 PRODUCT_3 = {"kind": "product", "q": [0.3, 0.8, 0.5]}
 STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
 
@@ -504,6 +505,25 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
                                    "bandwidth": True}}}, "rbf.bandwidth"),
     ("bound", {"measure": PRODUCT_3,
                "bound": {"S0": [0], "log_pi_S0": True}}, "bound.log_pi_S0"),
+    ("sample", {"measure": {"kind": "product", "q": [True, False, 0.5]},
+                "chain": {"steps": 3, "seed": 1}}, "measure.q"),
+    ("sample", {"measure": {"kind": "product", "q": ["x", 0.5]},
+                "chain": {"steps": 3}}, "measure.q"),
+    ("exact", {"measure": {"kind": "product-k", "q": [0.5, None], "k": 1}},
+     "measure.q"),
+    ("exact", {"measure": {"kind": "table", "weights": [1, True, 1, 1]}},
+     "measure.weights"),
+    ("bound", {"measure": PRODUCT_2, "bound": {"S0": [5]}}, "bound.S0"),
+    ("bound", {"measure": PRODUCT_2, "bound": {"S0": [-1]}}, "bound.S0"),
+    ("sample", {"measure": PRODUCT_2,
+                "chain": {"steps": 5, "init": "explicit-set",
+                          "init_set": [7]}}, "chain.init_set"),
+    ("compare", {"measure": PRODUCT_2,
+                 "chain": {"steps": 5, "chains": 2, "init": "explicit-set",
+                           "init_set": [2]}}, "chain.init_set"),
+    ("bound", {"measure": PRODUCT_2,
+               "chain": {"init": "explicit-set", "init_set": [0, 2]}},
+     "chain.init_set"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
         "bound-not-object", "steps-null", "chains-null", "init-set-int",
         "rbf-not-object", "statistics-int", "S0-int", "S0-bool", "S0-repeat",
@@ -511,7 +531,9 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
         "bound-init-set-ignored", "init-set-repeat", "k-float",
         "spectrum-N-float", "spectrum-k-bool", "spectrum-seed-float",
         "spectrum-hi-string", "spectrum-lo-null", "bandwidth-bool",
-        "log-pi-bool"])
+        "log-pi-bool", "q-bool", "q-string", "product-k-q-null",
+        "weights-bool", "S0-outside", "S0-negative", "sample-init-set-outside",
+        "compare-init-set-outside", "bound-init-set-outside"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                                                     command, cfg, word):
     out = tmp_path / "o"

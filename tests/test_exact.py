@@ -482,7 +482,9 @@ STEPPERS = {"add-delete": step_add_delete, "exchange": step_exchange,
             "projection": step_projection}
 
 
-@pytest.mark.parametrize("name,measure", fixture_suite(5))
+@pytest.mark.parametrize("name,measure", [
+    *fixture_suite(5),
+    ("k-dpp", CardinalityConditionedMeasure(random_psd_fixture(5), 2))])
 @pytest.mark.parametrize("kind", sorted(STEPPERS))
 def test_steppers_match_exact_matrices(name, measure, kind,
                                       metropolis_calls):
