@@ -184,7 +184,9 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
 
     Applies ``burn_in`` steps, then records the state after every ``thin``-th
     of the remaining ``steps`` steps. With steps=0 the transcript holds only
-    the post-burn-in initial state. An ``ArithmeticError`` from the oracle
+    the post-burn-in initial state. A retained draw that repeats the previous
+    retained state object (the chain held or rejected) reuses its index tuple
+    and log weight. An ``ArithmeticError`` from the oracle
     (a flagged DPP cache) is raised again with the stream named.
     """
     rng = chain_rng(spec.seed, stream)
@@ -194,11 +196,17 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
     step = {"add-delete": step_add_delete, "exchange": step_exchange,
             "projection": step_projection}[spec.kind]
     tr = Transcript(n=measure.n)
+    last = [None, None, None]  # the last recorded state, its tuple, weight
 
     def record(step_index, state, outcome):
+        # A hold or a rejection returns the same object, and the oracle's
+        # state changes only in an accepted move, which returns a new one.
+        if state is not last[0]:
+            last[:] = (state, tuple(state.indices().tolist()),
+                       float(oracle.log_weight(state)))
         tr.steps.append(step_index)
-        tr.states.append(tuple(state.indices().tolist()))
-        tr.log_weights.append(float(oracle.log_weight(state)))
+        tr.states.append(last[1])
+        tr.log_weights.append(last[2])
         tr.moves.append(outcome)
 
     try:

@@ -180,7 +180,8 @@ class CholeskyCache:
         if self.size == 0:
             return
         try:
-            chol = np.linalg.cholesky(self.L[np.ix_(self.order, self.order)])
+            sub = self.L.take(self.order, 0).take(self.order, 1)
+            chol = np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
             self.log_det = NEG_INF
             self.flagged = True

@@ -126,7 +126,8 @@ class MeasureOracle:
 
     def move(self, S: SubsetState, kind, s, t) -> SubsetState:
         """The state after an accepted move from S: "add" t, "delete" s, or
-        "swap" s for t."""
+        "swap" s for t. It is always a new state; S is neither mutated nor
+        returned, so ``run_chain`` can tell a move from a hold by identity."""
         if kind == "add":
             return S.with_added(t)
         if kind == "delete":
@@ -181,7 +182,7 @@ class ProductMeasure(MeasureOracle):
     def log_weight(self, S):
         self._check(S)
         m = S.membership
-        return float(np.sum(np.where(m, self._logq, self._log1mq)))
+        return float(np.add.reduce(np.where(m, self._logq, self._log1mq)))
 
     def singleton_log_weights(self):
         """log pi({i}) = log q_i + sum_{j != i} log(1 - q_j), in O(N)."""

@@ -7,7 +7,7 @@ import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     ProductMeasure, SubsetState, TableMeasure, chain_rng,
-                    run_chain, step_add_delete, step_exchange,
+                    chains, run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
 from srmcmc.chains import initial_state
 from srmcmc.dpp import CholeskyCache, rbf_kernel, spectrum_step_kernel
@@ -272,6 +272,112 @@ class TestCachedDppPath:
                            match="stream 2: DPP cache flagged"):
             run_chain(m, ChainSpec("exchange", steps=1000, seed=0,
                                    init="random-positive"), stream=2)
+
+
+RECORDED_MEASURES = {
+    "product": product_fixture,
+    "l-ensemble": random_psd_fixture,
+    "k-dpp": lambda n: CardinalityConditionedMeasure(random_psd_fixture(n),
+                                                     n // 2 - 1),
+}
+
+
+class TestRecording:
+    """``run_chain`` computes a retained state's tuple and log weight once
+    per state object, and the oracle's ``move`` never returns or mutates
+    the state it moves from, which that reuse relies on."""
+
+    @staticmethod
+    def _spy(monkeypatch, measure):
+        """Wrap the per-chain oracle's ``log_weight`` with a counter, and keep
+        the initial state and every state a stepper returns, in order."""
+        calls, states = [], []
+        make = measure.chain_oracle
+
+        def chain_oracle(S):
+            oracle = make(S)
+            weigh = oracle.log_weight
+
+            def counted(state):
+                calls.append(state)
+                return weigh(state)
+
+            oracle.log_weight = counted
+            return oracle
+
+        measure.chain_oracle = chain_oracle
+
+        def keep(function, state_of):
+            def spy(*args):
+                out = function(*args)
+                states.append(state_of(out))
+                return out
+            return spy
+
+        monkeypatch.setattr(chains, "initial_state",
+                            keep(chains.initial_state, lambda out: out))
+        for name in ("step_add_delete", "step_exchange", "step_projection"):
+            monkeypatch.setattr(chains, name, keep(getattr(chains, name),
+                                                   lambda out: out[0]))
+        return calls, states
+
+    @pytest.mark.parametrize("name, kind, thin, burn_in, steps", [
+        ("product", "add-delete", 1, 0, 3000),
+        ("product", "add-delete", 1, 200, 3000),
+        ("product", "add-delete", 1, 200, 0),
+        ("l-ensemble", "add-delete", 1, 0, 3000),
+        ("l-ensemble", "projection", 1, 100, 3000),
+        ("l-ensemble", "projection", 3, 0, 3000),
+        ("l-ensemble", "projection", 1, 100, 0),
+        ("k-dpp", "exchange", 1, 0, 3000),
+    ])
+    def test_one_weight_per_state_object(self, monkeypatch, name, kind, thin,
+                                         burn_in, steps):
+        measure = RECORDED_MEASURES[name](12)
+        # Only the L-ensemble's weight comes from its running cache.
+        rtol = 1e-9 if name == "l-ensemble" else 0.0
+        calls, states = self._spy(monkeypatch, measure)
+        spec = ChainSpec(kind, steps=steps, burn_in=burn_in, thin=thin,
+                         seed=7, init="random-positive")
+        tr = run_chain(measure, spec)
+        # states[0] is the start and states[j] the state after step j, so the
+        # draw recorded at post-burn-in step i is states[burn_in + i].
+        retained = [states[burn_in + i] for i in tr.steps]
+        changed = [retained[0]] + [b for a, b in zip(retained, retained[1:])
+                                   if b is not a]
+        assert len(calls) == len(changed)
+        assert all(c is s for c, s in zip(calls, changed))
+        if steps:
+            assert len(changed) < len(tr)
+        n = measure.n
+        reference = type(measure).log_weight
+        for j, (state, lw) in enumerate(zip(tr.states, tr.log_weights)):
+            assert state == tuple(retained[j].indices())
+            assert lw == pytest.approx(
+                reference(measure, SubsetState.from_indices(state, n)),
+                rel=rtol, abs=0.0)
+            if j and retained[j] is retained[j - 1]:
+                assert state is tr.states[j - 1]
+
+    @pytest.mark.parametrize("name, oracle_type", [
+        ("product", "ProductMeasure"), ("l-ensemble", "_CachedDppOracle"),
+        ("k-dpp", "_ShellOracle"),
+    ])
+    @pytest.mark.parametrize("kind, s, t, after", [
+        ("add", None, 5, (1, 3, 5, 6)),
+        ("delete", 3, None, (1, 6)),
+        ("swap", 3, 5, (1, 5, 6)),
+    ])
+    def test_move_returns_a_new_state(self, name, oracle_type, kind, s, t,
+                                      after):
+        start = S([1, 3, 6], 8)
+        oracle = RECORDED_MEASURES[name](8).chain_oracle(start)
+        assert type(oracle).__name__ == oracle_type
+        before = start.membership.copy()
+        new = oracle.move(start, kind, s, t)
+        assert new is not start
+        assert np.array_equal(start.membership, before)
+        assert tuple(new.indices()) == after
 
 
 class TestHeaviestSingletonStart:

@@ -167,6 +167,20 @@ class TestSymmetricHomogenization:
                 base_lw - log_binomial(n, len(real)), abs=1e-12)
 
 
+def test_product_log_weight_bits_match_np_sum():
+    # The log weight is one add-reduction; pin its bits to np.sum's.
+    rng = np.random.default_rng(20)
+    for n in range(1, 301):
+        for q in (rng.random(n), rng.choice([0.0, 1.0, 0.4], n)):
+            m = ProductMeasure(q)
+            with np.errstate(divide="ignore"):
+                logq, log1mq = np.log(q), np.log1p(-q)
+            for _ in range(4):
+                member = rng.random(n) < 0.5
+                ref = float(np.sum(np.where(member, logq, log1mq)))
+                assert m.log_weight(SubsetState(member)) == ref
+
+
 def test_product_measure_self_normalized():
     m = ProductMeasure([0.3, 0.8, 0.5, 0.6, 0.4, 0.7, 0.55, 0.35, 0.9, 0.1,
                         0.25, 0.65])
