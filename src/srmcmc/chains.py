@@ -19,9 +19,11 @@ min(1, ratio). :func:`run_chain` runs on the measure's per-chain oracle
 (``move``), so a measure with incremental per-chain state, such as an
 L-ensemble's inverse cache, keeps it in step without the chain loop knowing
 which measure it runs. A step's outcome is a shared :class:`MoveOutcome`.
+Past its start state, a chain draws raw PCG64 words, bit for bit (`_Stream`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -91,6 +93,36 @@ def chain_rng(seed, stream=0):
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     )
+
+
+class _Stream:
+    """A PCG64 ``Generator``'s ``random()``, (w >> 11) * 2**-53, and
+    ``integers(k)``, numpy's Lemire rejection on 32-bit halves of words (low
+    half first; k = 1 draws nothing), bit for bit, from an endless iterator
+    of raw-word blocks. It reads ahead, so the generator is not used after."""
+
+    def __init__(self, rng):
+        state = rng.bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        words = iter(lambda: rng.bit_generator.random_raw(1024).tolist(), None)
+        self._word = itertools.chain.from_iterable(words).__next__
+
+    def random(self):
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, k):
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"integers({k}) outside [1, 2**32]")
+        threshold = ((1 << 32) - k) % k
+        while k > 1:
+            x, self._half = self._half, None
+            if x is None:
+                w = self._word()
+                x, self._half = w & 0xFFFFFFFF, w >> 32
+            m = x * k
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+        return 0
 
 
 def _metropolis(oracle: MeasureOracle, S: SubsetState, rng, kind, r,
@@ -184,13 +216,15 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
 
     Applies ``burn_in`` steps, then records the state after every ``thin``-th
     of the remaining ``steps`` steps. With steps=0 the transcript holds only
-    the post-burn-in initial state. A retained draw that repeats the previous
-    retained state object (the chain held or rejected) reuses its index tuple
-    and log weight. An ``ArithmeticError`` from the oracle
+    the post-burn-in initial state. Draws after ``initial_state`` come from
+    the chain's raw PCG64 words, bit for bit. A retained draw that repeats
+    the previous retained state object (the chain held or rejected) reuses
+    its index tuple and log weight. An ``ArithmeticError`` from the oracle
     (a flagged DPP cache) is raised again with the stream named.
     """
     rng = chain_rng(spec.seed, stream)
     S = initial_state(measure, spec, rng)
+    rng = _Stream(rng)
     # Chosen per call from the module globals, so that a stepper replaced at
     # run time (a tracer, a test double) is the one that runs.
     step = {"add-delete": step_add_delete, "exchange": step_exchange,

@@ -80,13 +80,6 @@ def load_kernel_csv(path):
     return M
 
 
-def write_kernel_csv(path, M):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in np.asarray(M):
-            w.writerow([repr(float(v)) for v in row])
-
-
 def _preset_measure(name, seed):
     rng = chains.chain_rng(seed, stream=10_000)
     if name == "fig1b-like":

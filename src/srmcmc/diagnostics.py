@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
 DEGENERATE_VAR = 1e-300
 DEFAULT_THRESHOLD = 1.05
 DEFAULT_CHAINS = 10
+MARGINAL_CHUNK = 4096  # retained draws per chunk in empirical_marginals
 
 
 def psrf(series) -> float:
@@ -140,15 +140,25 @@ def check_stride(stride):
 def empirical_marginals(transcripts):
     """Pooled per-element inclusion frequencies with naive standard errors.
 
-    The standard errors assume independent draws and are not corrected for
-    autocorrelation.
+    Each run of draws that share one tuple object is counted once, weighted
+    by its length, so the counts are exact integers. The standard errors
+    assume independent draws and are not corrected for autocorrelation.
     """
     if not transcripts:
         raise ValueError("need at least one transcript")
     n = transcripts[0].n
-    counts = Counter(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(t.states for t in transcripts)))
+    counts = np.zeros(n)
+    # Chunks bound the temporaries; holds and rejections repeat a tuple object.
+    chunks = (t.states[a:a + MARGINAL_CHUNK] for t in transcripts
+              for a in range(0, len(t.states), MARGINAL_CHUNK))
+    for states in chunks:
+        new = [s is not p for s, p in zip(states, [None, *states[:-1]])]
+        runs = list(itertools.compress(states, new))
+        sizes = list(map(len, runs))
+        flat = np.fromiter(itertools.chain.from_iterable(runs), np.intp, sum(sizes))
+        lengths = np.diff(np.flatnonzero(new), append=len(new))
+        counts += np.bincount(flat, np.repeat(lengths, sizes), minlength=n)
     total = sum(map(len, transcripts))
-    est = np.array([counts[i] for i in range(n)], dtype=float) / total
+    est = counts / total
     se = np.sqrt(est * (1.0 - est) / total)
     return est, se

@@ -211,6 +211,14 @@ class ProductMeasure(MeasureOracle):
             return math.inf
         return (1.0 - qs) / qs
 
+    def swap_ratio(self, S, s, t):
+        """q_t (1 - q_s) / (q_s (1 - q_t)); pi(S) > 0 gives q_s > 0, q_t < 1."""
+        if not S.membership[s]:
+            raise ValueError(f"element {s} not in set")
+        if S.membership[t]:
+            raise ValueError(f"element {t} already in set")
+        return self.q[t] * (1.0 - self.q[s]) / (self.q[s] * (1.0 - self.q[t]))
+
 
 class CardinalityConditionedMeasure(MeasureOracle):
     """Base measure conditioned on |S| = k; zero weight off the cardinality shell."""

@@ -482,6 +482,56 @@ def test_transcripts_reproduce_across_versions(name, kind):
                                                            rel=1e-12)
 
 
+class TestStream:
+    """``run_chain`` draws through ``_Stream``, which must answer every
+    ``random()`` and ``integers(k)`` bit for bit as the chain's PCG64
+    ``Generator`` would. A numpy release that changes either algorithm
+    fails here instead of shifting transcripts silently."""
+
+    @staticmethod
+    def _draws(rng, plan):
+        return [rng.random() if k == 0 else int(rng.integers(k))
+                for k in plan]
+
+    @staticmethod
+    def _assert_same(rng, plan):
+        # A second generator of the same state, wrapped in the stream.
+        twin = np.random.Generator(type(rng.bit_generator)())
+        twin.bit_generator.state = rng.bit_generator.state
+        want = TestStream._draws(rng, plan)
+        got = TestStream._draws(chains._Stream(twin), plan)
+        bad = [j for j, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert not bad, (f"draw {bad[0]} of {len(plan)} (k={plan[bad[0]]}): "
+                         f"{got[bad[0]]!r} != {want[bad[0]]!r}")
+        return got
+
+    def test_interleaved_draws_match_generator(self):
+        # 0 is a random() call, k > 0 an integers(k) call.
+        plan_rng = np.random.default_rng(16)
+        plan = np.where(plan_rng.random(120_000) < 0.5, 0,
+                        plan_rng.integers(1, 5001, 120_000)).tolist()
+        plan[::97] = [1] * len(plan[::97])
+        got = self._assert_same(chain_rng(2016, 3), plan)
+        assert all(type(x) is int for x, k in zip(got, plan) if k)
+
+    @pytest.mark.parametrize("k", [1, 2, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_extreme_bounds_match_generator(self, k):
+        # Just above 2**31, Lemire's rejection discards about half the draws.
+        plan = [k, k, 0, k, 1, k, k, 0] * 2000
+        self._assert_same(chain_rng(7, 1), plan)
+
+    def test_starts_from_a_cached_half_word(self):
+        rng = chain_rng(11)
+        rng.integers(7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        self._assert_same(rng, [5, 0, 5, 5, 2**31 + 1, 0, 30] * 500)
+
+    @pytest.mark.parametrize("k", [0, -3, 2**32 + 1])
+    def test_bounds_outside_32_bits_raise(self, k):
+        with pytest.raises(ValueError, match="outside"):
+            chains._Stream(chain_rng(0)).integers(k)
+
+
 class TestBounds:
     def test_theorem_bound_uniform_example(self):
         got = theorem_bound(2, 1, math.log(0.25), 0.05)

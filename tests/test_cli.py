@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -6,7 +7,15 @@ import numpy as np
 import pytest
 
 from srmcmc import ProductMeasure, chains, exact
-from srmcmc.cli import ConfigError, main, load_kernel_csv, write_kernel_csv
+from srmcmc.cli import ConfigError, main, load_kernel_csv
+
+
+def write_kernel_csv(path, M):
+    """Write M as the CSV kernel file that ``load_kernel_csv`` reads."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        for row in np.asarray(M):
+            w.writerow([repr(float(v)) for v in row])
 
 
 def write_config(tmp_path, cfg, name="config.json"):

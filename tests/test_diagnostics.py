@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     ProductMeasure, SpectralSampler, Transcript,
                     empirical_marginals, extract_summary, first_crossing,
                     psrf, psrf_curve, run_chains)
+from srmcmc.diagnostics import MARGINAL_CHUNK as CHUNK
 
 
 def constant_transcript(n, state, length):
@@ -209,3 +212,36 @@ class TestEmpiricalMarginals:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             empirical_marginals([])
+
+    def test_matches_a_count_of_every_element(self):
+        # Runs of one tuple object are counted once with their length as the
+        # weight; the result must equal a count over every element of every
+        # retained tuple, bit for bit. Equal tuples that are not the same
+        # object, empty sets, a transcript with no draws and runs across the
+        # edges of the chunks that bound memory are included.
+        product = ProductMeasure(np.linspace(0.1, 0.9, 9))
+        trs = run_chains(product, ChainSpec("add-delete", steps=3000,
+                                            seed=5), 3)
+        trs += run_chains(product, ChainSpec("add-delete", steps=2 * CHUNK + 9,
+                                             seed=8), 2)
+        trs += run_chains(product, ChainSpec("add-delete", steps=3000,
+                                             thin=3, seed=6), 2)
+        trs += run_chains(CardinalityConditionedMeasure(product, 4),
+                          ChainSpec("exchange", steps=2000, seed=7,
+                                    init="random-positive"), 2)
+        copies = constant_transcript(9, (1, 4), 40)
+        copies.states = [tuple(list(s)) for s in copies.states[:20]] + [
+            (), (), (1, 4), (1, 4)] + copies.states[24:]
+        assert copies.states[0] is not copies.states[1]
+        trs += [copies, constant_transcript(9, (), 30),
+                constant_transcript(9, (2,), 0),
+                constant_transcript(9, (3, 5), 2 * CHUNK + 7)]
+        assert any(b is a for t in trs[:9] for a, b in zip(t.states,
+                                                            t.states[1:]))
+        counts = Counter(itertools.chain.from_iterable(
+            s for t in trs for s in t.states))
+        total = sum(map(len, trs))
+        want = np.array([counts[i] for i in range(9)], dtype=float) / total
+        est, se = empirical_marginals(trs)
+        assert np.array_equal(est, want)
+        assert np.array_equal(se, np.sqrt(want * (1.0 - want) / total))

@@ -7,7 +7,7 @@ import pytest
 
 from srmcmc import (CardinalityConditionedMeasure, ProductMeasure, SubsetState,
                     SymmetricHomogenization, TableMeasure)
-from srmcmc.measures import NEG_INF, log_binomial
+from srmcmc.measures import NEG_INF, MeasureOracle, log_binomial
 
 from conftest import fixture_suite, uniform_table
 
@@ -179,6 +179,31 @@ def test_product_log_weight_bits_match_np_sum():
                 member = rng.random(n) < 0.5
                 ref = float(np.sum(np.where(member, logq, log1mq)))
                 assert m.log_weight(SubsetState(member)) == ref
+
+
+def test_product_swap_ratio_matches_generic_ratio():
+    # The closed form against the two-log-weight ratio of the base class, on
+    # random q and on q with 0 and 1 entries placed so that pi(S) > 0.
+    rng = np.random.default_rng(22)
+    for n in (2, 3, 7, 40):
+        for trial in range(30):
+            member = rng.random(n) < 0.5
+            member[:2] = True, False
+            q = rng.random(n)
+            if trial % 3 == 2:
+                q = np.where(rng.random(n) < 0.3, member.astype(float), q)
+            m = ProductMeasure(q)
+            st = SubsetState(member)
+            for s in st.indices().tolist():
+                for t in (~member).nonzero()[0].tolist():
+                    want = MeasureOracle._ratio(m, st, st.with_swapped(s, t))
+                    assert m.swap_ratio(st, s, t) == pytest.approx(
+                        want, rel=1e-12, abs=0.0)
+    m = ProductMeasure([0.3, 0.8, 0.5])
+    with pytest.raises(ValueError, match="not in set"):
+        m.swap_ratio(S([1], 3), 0, 2)
+    with pytest.raises(ValueError, match="already in set"):
+        m.swap_ratio(S([0, 1], 3), 0, 1)
 
 
 def test_product_measure_self_normalized():
