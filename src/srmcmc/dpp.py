@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 from scipy.linalg.lapack import dtrtri
 
 from .measures import NEG_INF, MeasureOracle, SubsetState
@@ -82,20 +83,28 @@ class LEnsemble(MeasureOracle):
             return np.where(d > 0.0, np.log(d), NEG_INF)
 
 
+def _cholesky(a):
+    """Lower Cholesky factor of the float matrix ``a``, or a NaN diagonal
+    where LAPACK cannot factor it.
+
+    This is the gufunc that ``np.linalg.cholesky`` calls, so the factor is
+    the same to the bit; the wrapper's shape and type checks and its
+    ``LinAlgError`` are left out.
+    """
+    with np.errstate(all="ignore"):
+        return cholesky_lo(a, signature="d->d")
+
+
 def dpp_log_weight(L, S: SubsetState) -> float:
     """log det(L_S) for a matrix L; 0 for the empty set, -inf for a
     singular minor."""
     if S.cardinality == 0:
         return 0.0
     m = S.membership
-    try:
-        chol = np.linalg.cholesky(L.compress(m, 0).compress(m, 1))
-    except np.linalg.LinAlgError:
+    diag = _cholesky(L.compress(m, 0).compress(m, 1)).diagonal()
+    if not np.minimum.reduce(diag) > 0.0:  # NaN: LAPACK could not factor
         return NEG_INF
-    diag = chol.diagonal()
-    if diag.min() <= 0.0:
-        return NEG_INF
-    return float(2.0 * np.log(diag).sum())
+    return float(2.0 * np.add.reduce(np.log(diag)))
 
 
 def marginal_to_l(K) -> LEnsemble:
@@ -179,17 +188,16 @@ class CholeskyCache:
         self.flagged = False
         if self.size == 0:
             return
-        try:
-            sub = self.L.take(self.order, 0).take(self.order, 1)
-            chol = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError:
+        chol = _cholesky(self.L.take(self.order, 0).take(self.order, 1))
+        diag = chol.diagonal()
+        if not np.minimum.reduce(diag) > 0.0:
             self.log_det = NEG_INF
             self.flagged = True
             raise ArithmeticError("DPP cache flagged: the rebuild found L_S "
-                                  "numerically singular") from None
+                                  "numerically singular")
         chol_inv = dtrtri(chol, lower=1)[0]
         self.inv = chol_inv.T @ chol_inv
-        self.log_det = float(2.0 * np.sum(np.log(np.diag(chol))))
+        self.log_det = float(2.0 * np.add.reduce(np.log(diag)))
 
     def add_ratio(self, t) -> float:
         """det(L_{S+t}) / det(L_S) = L_tt - c^T inv c, the Schur complement pivot."""

@@ -6,12 +6,14 @@ of its size-N shell, the only one with weight). It never reuses the chains'
 ratio fast paths or any batched determinant path of a measure, so these
 functions serve as independent checks of stationarity, detailed balance,
 the exchange-chain lumping argument and total-variation mixing times. Only the
-bookkeeping around those calls is vectorized: bitmask states, marginal sums,
-and one Metropolis builder that turns each chain's table of XOR moves into
-its matrix. The lumped matrix is the homogenization's exchange matrix, built
-the same way and summed over projections. TV mixing times are first
-crossings, found for every start at once by repeated squaring of the matrix
-and bisection over its powers.
+bookkeeping around those calls is vectorized. Each enumeration builds one
+membership table, one ``unpackbits`` over the mask words, and passes row m
+to ``log_weight`` as the state of mask m. Bitmask states, marginal sums and
+one Metropolis builder turn each chain's table of XOR moves into its matrix.
+The lumped matrix is the homogenization's exchange matrix, built the same
+way and summed over projections. TV mixing times are first crossings, found
+for every start at once by repeated squaring of the matrix and bisection
+over its powers.
 """
 from __future__ import annotations
 
@@ -50,10 +52,14 @@ class TransitionMatrix:
 def _log_weights(measure: MeasureOracle, n, shell=None):
     """Log weight of every subset by bitmask, one ``log_weight`` call each;
     with ``shell``, only the subsets of that size, and -inf elsewhere."""
+    # Row m of the membership table holds the bits of m, one byte per bit.
+    words = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    table = np.unpackbits(words, axis=1, count=n, bitorder="little").view(bool)
+    masks = range(1 << n) if shell is None else \
+        np.flatnonzero(np.count_nonzero(table, axis=1) == shell).tolist()
     lw = np.full(1 << n, NEG_INF)
-    for mask in range(1 << n):
-        if shell is None or bin(mask).count("1") == shell:
-            lw[mask] = measure.log_weight(SubsetState.from_bitmask(mask, n))
+    for mask in masks:
+        lw[mask] = measure.log_weight(SubsetState(table[mask]))
     return lw
 
 
@@ -160,8 +166,9 @@ def transition_matrix(measure: MeasureOracle, chain_kind, cardinality=None,
     lazy mass lands on the diagonal.
     """
     n = measure.n
-    if n > 10:
-        raise ValueError("exact transition matrices capped at n <= 10")
+    if not 1 <= n <= 10:
+        raise ValueError("exact transition matrices need a nonempty ground "
+                         f"set of at most 10 elements, got n = {n}")
     if chain_kind not in ("add-delete", "exchange", "projection"):
         raise ValueError(f"unknown chain kind {chain_kind!r}")
     if chain_kind == "exchange" and cardinality is None:

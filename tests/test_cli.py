@@ -533,6 +533,10 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
     ("bound", {"measure": PRODUCT_2,
                "chain": {"init": "explicit-set", "init_set": [0, 2]}},
      "chain.init_set"),
+    ("check", {"measure": {"kind": "product", "q": []}},
+     "nonempty ground set"),
+    ("check", {"measure": {"kind": "table", "weights": [1]}},
+     "nonempty ground set"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
         "bound-not-object", "steps-null", "chains-null", "init-set-int",
         "rbf-not-object", "statistics-int", "S0-int", "S0-bool", "S0-repeat",
@@ -542,7 +546,8 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
         "spectrum-hi-string", "spectrum-lo-null", "bandwidth-bool",
         "log-pi-bool", "q-bool", "q-string", "product-k-q-null",
         "weights-bool", "S0-outside", "S0-negative", "sample-init-set-outside",
-        "compare-init-set-outside", "bound-init-set-outside"])
+        "compare-init-set-outside", "bound-init-set-outside",
+        "check-product-n0", "check-table-n0"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                                                     command, cfg, word):
     out = tmp_path / "o"

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from srmcmc import (CholeskyCache, KernelValidationError, LEnsemble,
                     enumerate_distribution, l_to_marginal, marginal_to_l,
                     rbf_kernel, spectrum_step_kernel,
                     validate_marginal_kernel)
+from srmcmc import dpp
 from srmcmc.measures import NEG_INF
 
 from conftest import random_psd_fixture
@@ -301,6 +303,63 @@ def test_log_weight_exact_on_singular_kernel(singular_add_kernel):
                        1.0986122886681096, 1.0986122886681096,
                        1.791759469228055, 1.791759469228055]
     assert got[8:] == [NEG_INF] * 8
+
+
+def reference_log_weight(L, S):
+    """log det(L_S) through ``np.linalg.cholesky``; -inf where it raises."""
+    if S.cardinality == 0:
+        return 0.0
+    m = S.membership
+    try:
+        chol = np.linalg.cholesky(L[np.ix_(m, m)])
+    except np.linalg.LinAlgError:
+        return NEG_INF
+    diag = chol.diagonal()
+    return NEG_INF if diag.min() <= 0.0 else float(2.0 * np.log(diag).sum())
+
+
+@pytest.mark.parametrize("name", ["psd-10", "rank-4-of-10", "zero-row"])
+def test_log_weight_bits_match_numpy_cholesky(name, singular_add_kernel):
+    """Over every subset, the wrapper-free factor gives the log weight that
+    ``np.linalg.cholesky`` gives, to the bit, and a failed factor warns
+    nothing."""
+    L = {"psd-10": lambda: random_psd_fixture(10).L,
+         "rank-4-of-10": lambda: rank_deficient_fixture().L,
+         "zero-row": lambda: singular_add_kernel}[name]()
+    n = L.shape[0]
+    states = [SubsetState.from_bitmask(mask, n) for mask in range(1 << n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [dpp_log_weight(L, s).hex() for s in states]
+    want = [reference_log_weight(L, s).hex() for s in states]
+    assert got == want
+    # The two singular kernels reach LAPACK's failure path.
+    assert ("-inf" in got) == (name != "psd-10")
+
+
+def test_cache_rebuild_factor_is_numpy_cholesky(monkeypatch, singular_add_kernel):
+    """The factor a rebuild forms equals ``np.linalg.cholesky``'s bit for
+    bit, in the cache's own order; a singular L_S raises without a warning."""
+    factors = []
+    original = dpp._cholesky
+
+    def recorded(a):
+        chol = original(a)
+        factors.append((a, chol))
+        return chol
+
+    monkeypatch.setattr(dpp, "_cholesky", recorded)
+    L = random_psd_fixture(10).L
+    rng = np.random.default_rng(5)
+    for size in range(1, 11):
+        CholeskyCache(L, rng.permutation(10)[:size])
+    assert len(factors) == 10
+    for sub, chol in factors:
+        assert chol.tobytes() == np.linalg.cholesky(sub).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="numerically singular"):
+            CholeskyCache(singular_add_kernel, [0, 3])
 
 
 class TestKernelSynthesis:

@@ -19,6 +19,31 @@ from srmcmc.measures import NEG_INF
 from conftest import fixture_suite, random_psd_fixture, uniform_table
 
 
+def record_states(monkeypatch, cls):
+    """Wrap ``cls.log_weight`` to record a copy of the membership,
+    cardinality and ground set size of every state it is passed."""
+    seen = []
+    original = cls.log_weight
+
+    def recorded(self, S):
+        seen.append((S.membership.copy(), S.cardinality, S.n))
+        return original(self, S)
+
+    monkeypatch.setattr(cls, "log_weight", recorded)
+    return seen
+
+
+def assert_states_match(seen, masks, n):
+    masks = list(masks)
+    assert len(seen) == len(masks)
+    for mask, (membership, cardinality, size) in zip(masks, seen):
+        want = SubsetState.from_bitmask(mask, n)
+        assert membership.dtype == bool
+        assert np.array_equal(membership, want.membership)
+        assert cardinality == want.cardinality
+        assert size == want.n == n
+
+
 class TestEnumeration:
     def test_diag_dpp_distribution(self):
         dist = enumerate_distribution(LEnsemble(np.diag([2.0, 3.0])))
@@ -61,6 +86,12 @@ class TestEnumeration:
         monkeypatch.setattr(LEnsemble, "log_weight", counted)
         enumerate_distribution(random_psd_fixture(10))
         assert seen == list(range(1 << 10))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_enumerated_states_match_from_bitmask(self, n, monkeypatch):
+        seen = record_states(monkeypatch, TableMeasure)
+        enumerate_distribution(uniform_table(n))
+        assert_states_match(seen, range(1 << n), n)
 
     def test_probabilities_reproduce_across_versions(self):
         """sha256 of repr of the probabilities' float.hex at N=12, and log Z,
@@ -119,6 +150,11 @@ class TestTransitionMatrices:
         with pytest.raises(ValueError, match="unknown chain kind"):
             transition_matrix(random_psd_fixture(4), "gibbs")
         assert seen == []
+
+    @pytest.mark.parametrize("kind", ["add-delete", "projection"])
+    def test_empty_ground_set_refused(self, kind):
+        with pytest.raises(ValueError, match="nonempty ground set"):
+            transition_matrix(uniform_table(0), kind)
 
 
 class TestStationarity:
@@ -181,6 +217,12 @@ class TestLumping:
         shell = [m for m in range(1 << 8) if bin(m).count("1") == 4]
         assert len(shell) == math.comb(8, 4) == 70
         assert seen == shell
+
+    def test_homogenization_shell_states_match_from_bitmask(self, monkeypatch):
+        seen = record_states(monkeypatch, SymmetricHomogenization)
+        lumped_exchange_matrix(ProductMeasure([0.3, 0.8, 0.5, 0.6, 0.2]))
+        shell = [m for m in range(1 << 10) if bin(m).count("1") == 5]
+        assert_states_match(seen, shell, 10)
 
     def test_homogenization_marginalizes_to_base(self):
         base = ProductMeasure([0.3, 0.8, 0.5])
