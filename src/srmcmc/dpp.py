@@ -8,8 +8,9 @@ Schur complements, read in closed form from the inverse of L_S that
 only when it rebuilds. ``LEnsemble.chain_oracle`` gives each chain a
 :class:`_CachedDppOracle`, which answers the ratios from its own cache and
 applies every accepted move to it before returning the next state. A k-DPP,
-``CardinalityConditionedMeasure(LEnsemble, k)``, runs its swaps on the same
-oracle.
+``CardinalityConditionedMeasure(LEnsemble, k)``, runs on the same
+conditioning of that oracle, so its swaps and recorded weights come from the
+cache too.
 """
 from __future__ import annotations
 
@@ -95,16 +96,21 @@ def _cholesky(a):
         return cholesky_lo(a, signature="d->d")
 
 
+def _log_det(chol):
+    """log det of the matrix whose ``_cholesky`` factor is ``chol``; -inf
+    for the all-NaN factor of a matrix LAPACK could not factor, read from
+    the NaN sum (``np.log`` of NaN does not warn)."""
+    log_det = float(2.0 * np.add.reduce(np.log(chol.diagonal())))
+    return NEG_INF if math.isnan(log_det) else log_det
+
+
 def dpp_log_weight(L, S: SubsetState) -> float:
     """log det(L_S) for a matrix L; 0 for the empty set, -inf for a
     singular minor."""
     if S.cardinality == 0:
         return 0.0
     m = S.membership
-    diag = _cholesky(L.compress(m, 0).compress(m, 1)).diagonal()
-    if not np.minimum.reduce(diag) > 0.0:  # NaN: LAPACK could not factor
-        return NEG_INF
-    return float(2.0 * np.add.reduce(np.log(diag)))
+    return _log_det(_cholesky(L.compress(m, 0).compress(m, 1)))
 
 
 def marginal_to_l(K) -> LEnsemble:
@@ -121,10 +127,9 @@ def marginal_to_l(K) -> LEnsemble:
     return LEnsemble(0.5 * (L + L.T))
 
 
-def l_to_marginal(L) -> np.ndarray:
+def l_to_marginal(ensemble: LEnsemble) -> np.ndarray:
     """K = L(I+L)^{-1}; diagonal entries are the singleton inclusion probabilities."""
-    L = getattr(L, "L", L)
-    evals, vecs = np.linalg.eigh(L)
+    evals, vecs = np.linalg.eigh(ensemble.L)
     lam = np.clip(evals, 0.0, None)
     K = (vecs * (lam / (1.0 + lam))) @ vecs.T
     return validate_marginal_kernel(0.5 * (K + K.T))
@@ -189,15 +194,13 @@ class CholeskyCache:
         if self.size == 0:
             return
         chol = _cholesky(self.L.take(self.order, 0).take(self.order, 1))
-        diag = chol.diagonal()
-        if not np.minimum.reduce(diag) > 0.0:
-            self.log_det = NEG_INF
+        self.log_det = _log_det(chol)
+        if self.log_det == NEG_INF:
             self.flagged = True
             raise ArithmeticError("DPP cache flagged: the rebuild found L_S "
                                   "numerically singular")
         chol_inv = dtrtri(chol, lower=1)[0]
         self.inv = chol_inv.T @ chol_inv
-        self.log_det = float(2.0 * np.add.reduce(np.log(diag)))
 
     def add_ratio(self, t) -> float:
         """det(L_{S+t}) / det(L_S) = L_tt - c^T inv c, the Schur complement pivot."""
@@ -319,11 +322,10 @@ class SpectralSampler:
     of C are the earlier terms. No basis is re-orthonormalized.
     """
 
-    def __init__(self, L):
-        L = np.asarray(getattr(L, "L", L), dtype=float)
-        evals, vecs = np.linalg.eigh(L)
+    def __init__(self, ensemble: LEnsemble):
+        evals, vecs = np.linalg.eigh(ensemble.L)
         lam = np.clip(evals, 0.0, None)
-        self.n = L.shape[0]
+        self.n = ensemble.n
         self.inclusion = lam / (1.0 + lam)
         self.vecs = vecs
 

@@ -27,6 +27,7 @@ from .measures import (NEG_INF, MeasureOracle, SubsetState,
 
 MAX_ENUM_N = 20
 MAX_MIX_STEPS = 2**20
+LUMP_TOL = 1e-12
 
 
 @dataclass
@@ -208,13 +209,13 @@ def detailed_balance_check(tm: TransitionMatrix, dist: ExactDistribution) -> flo
     return float(np.max(np.abs(F - F.T)))
 
 
-def lumped_exchange_matrix(base: MeasureOracle, lump_tol=1e-12) -> TransitionMatrix:
+def lumped_exchange_matrix(base: MeasureOracle) -> TransitionMatrix:
     """Exchange chain on the symmetric homogenization, projected onto the base set.
 
     Builds the Gibbs exchange matrix of ``SymmetricHomogenization(base)`` on
     its size-N shell (the subsets R of the doubled ground set with positive
     weight), verifies that rows with the same projection S = R intersect V
-    produce identical projected rows (lumpability, tolerance ``lump_tol``
+    produce identical projected rows (lumpability, tolerance ``LUMP_TOL``
     absolute), and returns the lumped matrix over base subsets.
     """
     n = base.n
@@ -235,7 +236,7 @@ def lumped_exchange_matrix(base: MeasureOracle, lump_tol=1e-12) -> TransitionMat
               _metropolis_matrix(r_states, lw, _exchange_moves(bits, n)))
     spread = np.max(np.abs(lumped_rows - lumped_rows[first[col]]), axis=1)
     worst = int(np.argmax(spread))
-    if spread[worst] > lump_tol:
+    if spread[worst] > LUMP_TOL:
         raise ArithmeticError(
             f"lumpability violated for projection {proj[worst]:b}: "
             f"row spread {spread[worst]:.3e}"

@@ -9,8 +9,9 @@ one chain and applies each accepted move (``move``), returning the next
 state. The default oracle is the measure itself; a measure that keeps
 incremental per-chain state returns its own oracle, which updates that state
 in ``move`` (the L-ensemble's inverse cache in :mod:`srmcmc.dpp`). A
-cardinality-conditioned measure wraps its base's oracle, so a k-DPP reads
-its swap ratios from that cache; adds and deletes leave the shell.
+cardinality-conditioned measure's per-chain oracle is the same conditioning
+of its base's per-chain oracle, so a k-DPP reads its swap ratios and its
+recorded weights from that cache; adds and deletes leave the shell.
 """
 from __future__ import annotations
 
@@ -236,24 +237,12 @@ class CardinalityConditionedMeasure(MeasureOracle):
             return NEG_INF
         return self.base.log_weight(S)
 
-    def chain_oracle(self, S: SubsetState) -> "_ShellOracle":
-        """A per-chain oracle that wraps the base's oracle for S."""
-        return _ShellOracle(self, S)
+    def chain_oracle(self, S: SubsetState) -> "CardinalityConditionedMeasure":
+        """The same conditioning of the base's per-chain oracle for S."""
+        return CardinalityConditionedMeasure(self.base.chain_oracle(S), self.k)
 
-
-class _ShellOracle(MeasureOracle):
-    """Per-chain oracle of a cardinality-conditioned measure: swaps and
-    accepted moves go to the base's per-chain oracle, an add or a delete
-    leaves the shell (ratio 0), and ``log_weight`` is the measure's own."""
-
-    def __init__(self, measure: CardinalityConditionedMeasure, S):
-        self.n = measure.n
-        self.measure = measure
-        self.base = measure.base.chain_oracle(S)
-
-    def log_weight(self, S):
-        return self.measure.log_weight(S)
-
+    # With pi(S) > 0, an add or a delete leaves the shell and a swap stays
+    # on it, so each answer below is exact for any base.
     def add_ratio(self, S, t):
         return 0.0
 

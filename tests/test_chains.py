@@ -10,7 +10,8 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     chains, run_chain, step_add_delete, step_exchange,
                     step_projection, theorem_bound)
 from srmcmc.chains import initial_state
-from srmcmc.dpp import CholeskyCache, rbf_kernel, spectrum_step_kernel
+from srmcmc.dpp import (CholeskyCache, dpp_log_weight, rbf_kernel,
+                        spectrum_step_kernel)
 from srmcmc.measures import NEG_INF, MeasureOracle
 
 from conftest import product_fixture, random_psd_fixture, uniform_table
@@ -253,10 +254,26 @@ class TestCachedDppPath:
                             spec)
         assert cached.states == generic.states
         assert cached.moves == generic.moves
-        assert cached.log_weights == generic.log_weights
+        np.testing.assert_allclose(cached.log_weights, generic.log_weights,
+                                   rtol=1e-9)
         assert len(set(cached.states)) > 20
         assert {(o.kind, o.accepted) for o in cached.moves} >= {
             ("swap", True), ("swap", False)}
+
+    @pytest.mark.parametrize("kind", ["exchange", "projection"])
+    def test_kdpp_weights_across_a_rebuild(self, kind):
+        # The k-DPP records the cache's running log det. An accepted swap is
+        # two cache updates, so more than REBUILD_INTERVAL accepted swaps
+        # pass at least one rebuild.
+        m = random_psd_fixture(12)
+        tr = run_chain(CardinalityConditionedMeasure(m, 5),
+                       ChainSpec(kind, steps=10_000, seed=5,
+                                 init="random-positive"))
+        swaps = sum(o == chains.ACCEPTED["swap"] for o in tr.moves)
+        assert swaps > CholeskyCache.REBUILD_INTERVAL
+        for state, lw in zip(tr.states, tr.log_weights):
+            ref = dpp_log_weight(m.L, S(state, m.n))
+            assert lw == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_kdpp_swap_into_zero_row_raises_naming_stream(self,
                                                           monkeypatch):
@@ -334,8 +351,9 @@ class TestRecording:
     def test_one_weight_per_state_object(self, monkeypatch, name, kind, thin,
                                          burn_in, steps):
         measure = RECORDED_MEASURES[name](12)
-        # Only the L-ensemble's weight comes from its running cache.
-        rtol = 1e-9 if name == "l-ensemble" else 0.0
+        # The L-ensemble's and the k-DPP's weights come from the running
+        # cache.
+        rtol = 0.0 if name == "product" else 1e-9
         calls, states = self._spy(monkeypatch, measure)
         spec = ChainSpec(kind, steps=steps, burn_in=burn_in, thin=thin,
                          seed=7, init="random-positive")
@@ -361,7 +379,7 @@ class TestRecording:
 
     @pytest.mark.parametrize("name, oracle_type", [
         ("product", "ProductMeasure"), ("l-ensemble", "_CachedDppOracle"),
-        ("k-dpp", "_ShellOracle"),
+        ("k-dpp", "CardinalityConditionedMeasure"),
     ])
     @pytest.mark.parametrize("kind, s, t, after", [
         ("add", None, 5, (1, 3, 5, 6)),
@@ -378,6 +396,18 @@ class TestRecording:
         assert new is not start
         assert np.array_equal(start.membership, before)
         assert tuple(new.indices()) == after
+
+    def test_product_k_records_product_weights(self):
+        # A product's per-chain oracle is the product itself, so the
+        # conditioned chain records its weights to the bit.
+        base = product_fixture(8)
+        m = CardinalityConditionedMeasure(base, 3)
+        assert m.chain_oracle(S([1, 3, 6], 8)).base is base
+        tr = run_chain(m, ChainSpec("exchange", steps=2000, seed=5,
+                                    init="random-positive"))
+        assert len(set(tr.states)) > 20
+        assert tr.log_weights == [ProductMeasure.log_weight(base, S(s, 8))
+                                  for s in tr.states]
 
 
 class TestHeaviestSingletonStart:
@@ -440,6 +470,7 @@ REPRO_MEASURES = {
     "product": lambda: product_fixture(8),
     "psd-dpp": lambda: random_psd_fixture(8),
     "k-product": lambda: CardinalityConditionedMeasure(product_fixture(8), 3),
+    "k-dpp": lambda: CardinalityConditionedMeasure(random_psd_fixture(8), 3),
     "table": lambda: TableMeasure(np.r_[0.0, np.arange(1, 16) % 5]),
 }
 REPRO_FINGERPRINTS = {
@@ -464,6 +495,14 @@ REPRO_FINGERPRINTS = {
     ("k-product", "exchange"): (
         "07308feecdb8372c18a360a5ee069d0b1ac0eefff84bb07b7bdb9643863aaff1",
         -1480.6903191662686, -213630.1474846212),
+    # Recorded at commit d7b5ef2, which factored each recorded k-DPP state
+    # again; the weights now come from the cache.
+    ("k-dpp", "exchange"): (
+        "46066944c5ca360d1a2812ea51d7aac8be5546be3f45f907eecc5638c2f40856",
+        11.449947590084287, 1271.5028694151983),
+    ("k-dpp", "projection"): (
+        "2469a7535a41091b3a5ab4aa3f9b1f50a0db0f930bdd9f5e5e705be7217c00c6",
+        43.51666192482692, 8902.820037482608),
 }
 
 

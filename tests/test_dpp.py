@@ -63,19 +63,18 @@ class TestConversions:
             marginal_to_l(np.diag([1.0, 0.5]))
 
     def test_l_to_marginal_diag(self):
-        assert np.allclose(l_to_marginal(np.diag([2.0, 3.0])),
+        assert np.allclose(l_to_marginal(LEnsemble(np.diag([2.0, 3.0]))),
                            np.diag([2 / 3, 3 / 4]))
-        assert np.allclose(l_to_marginal(np.zeros((2, 2))), 0.0)
+        assert np.allclose(l_to_marginal(LEnsemble(np.zeros((2, 2)))), 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 5))
-        K = validate_marginal_kernel(l_to_marginal(A @ A.T / 5))
+        K = validate_marginal_kernel(l_to_marginal(LEnsemble(A @ A.T / 5)))
         assert np.allclose(l_to_marginal(marginal_to_l(K)), K, atol=1e-8)
 
     def test_k00_matches_enumeration(self):
-        L = np.array([[1.0, 0.5], [0.5, 1.0]])
-        K = l_to_marginal(L)
+        K = l_to_marginal(LEnsemble(np.array([[1.0, 0.5], [0.5, 1.0]])))
         # brute force: sum det(L_S) over S containing 0, over all S
         num = 1.0 + (1.0 - 0.25)  # {0}, {0,1}
         den = 1.0 + 1.0 + 1.0 + 0.75  # {}, {0}, {1}, {0,1}
@@ -193,11 +192,11 @@ class TestCholeskyCache:
 
 class TestSpectralSampler:
     def test_zero_kernel_gives_empty(self, rng):
-        st = SpectralSampler(np.zeros((4, 4))).sample(rng)
+        st = SpectralSampler(LEnsemble(np.zeros((4, 4)))).sample(rng)
         assert st.cardinality == 0
 
     def test_diagonal_inclusion_probabilities(self, rng):
-        sampler = SpectralSampler(np.diag([2.0, 3.0]))
+        sampler = SpectralSampler(LEnsemble(np.diag([2.0, 3.0])))
         reps = 40_000
         counts = np.zeros(2)
         for _ in range(reps):
@@ -233,7 +232,7 @@ class TestSpectralSampler:
 
 
     def test_degenerate_projection_raises(self, rng):
-        sampler = SpectralSampler(np.eye(3))
+        sampler = SpectralSampler(LEnsemble(np.eye(3)))
         sampler.inclusion = np.ones(3)
         sampler.vecs = np.zeros((3, 3))
         with pytest.raises(ArithmeticError, match="degenerate projection"):

@@ -12,6 +12,7 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
                     exact_marginals, lumped_exchange_matrix,
                     stationarity_check, step_add_delete, step_exchange,
                     step_projection, transition_matrix, tv_mixing_times_all)
+from srmcmc import exact
 from srmcmc.chains import initial_state
 from srmcmc.exact import TransitionMatrix, restrict_distribution
 from srmcmc.measures import NEG_INF
@@ -197,12 +198,12 @@ class TestLumping:
         assert lumped.states == proj.states
         assert np.max(np.abs(lumped.P - proj.P)) <= 1e-12
 
-    def test_lumpability_violation_names_projection(self):
+    def test_lumpability_violation_names_projection(self, monkeypatch):
+        monkeypatch.setattr(exact, "LUMP_TOL", -1.0)
         with pytest.raises(ArithmeticError,
                            match=r"lumpability violated for projection "
                                  r"[01]+: row spread"):
-            lumped_exchange_matrix(ProductMeasure([0.3, 0.8, 0.5]),
-                                   lump_tol=-1.0)
+            lumped_exchange_matrix(ProductMeasure([0.3, 0.8, 0.5]))
 
     def test_homogenization_enumerated_on_its_shell(self, monkeypatch):
         seen = []
