@@ -44,23 +44,57 @@ def _check_symmetric(M, tol, name):
     return 0.5 * (M + M.T)
 
 
+def _factors(A, shift):
+    """Whether A + shift I has a Cholesky factor; adds the shift to A's
+    diagonal in place.
+
+    A computed factor is the exact one of A + shift I + E with ||E|| of
+    order n u ||A|| (u the unit roundoff), so it exists only if the smallest
+    eigenvalue of A is above -shift - ||E||; a failure says nothing about
+    how far below it lies. It calls ``np.linalg.cholesky``, not
+    ``_cholesky``, whose calls stand for cache rebuilds.
+    """
+    A.flat[::A.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _check_marginal_spectrum(lo, hi):
+    if lo < -EIG_TOL or hi > 1.0 + EIG_TOL:
+        raise KernelValidationError(
+            f"marginal kernel spectrum [{lo:.6g}, {hi:.6g}] outside [0, 1]")
+
+
 def validate_marginal_kernel(K):
-    """Validate a DPP marginal kernel: symmetric with spectrum in [0, 1]."""
+    """Validate a DPP marginal kernel: symmetric with spectrum in [0, 1].
+
+    K is accepted when K + (EIG_TOL/2) I and (1 + EIG_TOL/2) I - K both have
+    Cholesky factors. Only when one has none does ``np.linalg.eigvalsh`` run,
+    and K is refused iff its spectrum reaches below -EIG_TOL or above
+    1 + EIG_TOL.
+    """
     K = _check_symmetric(K, SYMMETRY_TOL, "marginal kernel")
-    if K.size:
+    half = 0.5 * EIG_TOL
+    if K.size and not (_factors(K.copy(), half) and _factors(-K, 1.0 + half)):
         lo, hi = np.linalg.eigvalsh(K)[[0, -1]]
-        if lo < -EIG_TOL or hi > 1.0 + EIG_TOL:
-            raise KernelValidationError(
-                f"marginal kernel spectrum [{lo:.6g}, {hi:.6g}] outside [0, 1]")
+        _check_marginal_spectrum(lo, hi)
     return K
 
 
 class LEnsemble(MeasureOracle):
-    """Measure oracle with pi(S) = det(L_S) for a symmetric PSD matrix L."""
+    """Measure oracle with pi(S) = det(L_S) for a symmetric PSD matrix L.
+
+    L is accepted when L + (EIG_TOL/2) I has a Cholesky factor. Only when it
+    has none does ``np.linalg.eigvalsh`` run, and L is refused iff its
+    smallest eigenvalue is below -EIG_TOL.
+    """
 
     def __init__(self, L):
         L = _check_symmetric(L, SYMMETRY_TOL, "L-ensemble kernel")
-        if L.size:
+        if L.size and not _factors(L.copy(), 0.5 * EIG_TOL):
             lo = float(np.linalg.eigvalsh(L)[0])
             if lo < -EIG_TOL:
                 raise KernelValidationError(
@@ -114,25 +148,35 @@ def dpp_log_weight(L, S: SubsetState) -> float:
 
 
 def marginal_to_l(K) -> LEnsemble:
-    """L = K(I-K)^{-1}. Fails if K has an eigenvalue at 1 (elementary direction)."""
-    K = validate_marginal_kernel(K)
+    """L = K(I-K)^{-1}. Fails if K has an eigenvalue at 1 (elementary direction).
+
+    K's spectrum is checked against [0, 1] as ``validate_marginal_kernel``
+    checks it, on the eigenvalues of the one ``eigh`` the conversion needs.
+    """
+    K = _check_symmetric(K, SYMMETRY_TOL, "marginal kernel")
     evals, vecs = np.linalg.eigh(K)
-    if evals.size and evals[-1] >= 1.0 - EIG_TOL:
-        raise KernelValidationError(
-            f"marginal kernel eigenvalue {evals[-1]:.6g} at 1: elementary "
-            "direction; not representable as L-ensemble"
-        )
+    if evals.size:
+        _check_marginal_spectrum(evals[0], evals[-1])
+        if evals[-1] >= 1.0 - EIG_TOL:
+            raise KernelValidationError(
+                f"marginal kernel eigenvalue {evals[-1]:.6g} at 1: elementary "
+                "direction; not representable as L-ensemble"
+            )
     lam = np.clip(evals, 0.0, None)
     L = (vecs * (lam / (1.0 - lam))) @ vecs.T
     return LEnsemble(0.5 * (L + L.T))
 
 
 def l_to_marginal(ensemble: LEnsemble) -> np.ndarray:
-    """K = L(I+L)^{-1}; diagonal entries are the singleton inclusion probabilities."""
+    """K = L(I+L)^{-1}; diagonal entries are the singleton inclusion probabilities.
+
+    K is not validated again: its spectrum lam / (1 + lam) lies in [0, 1) by
+    construction, and it is symmetrized here.
+    """
     evals, vecs = np.linalg.eigh(ensemble.L)
     lam = np.clip(evals, 0.0, None)
     K = (vecs * (lam / (1.0 + lam))) @ vecs.T
-    return validate_marginal_kernel(0.5 * (K + K.T))
+    return 0.5 * (K + K.T)
 
 
 class CholeskyCache:
@@ -366,7 +410,7 @@ def rbf_kernel(points, bandwidth) -> LEnsemble:
     np.maximum(d2, 0.0, out=d2)
     L = np.exp(-d2 / (2.0 * bandwidth**2))
     L[np.diag_indices_from(L)] += JITTER
-    return LEnsemble(0.5 * (L + L.T))
+    return LEnsemble(L)
 
 
 def spectrum_step_kernel(n, k, hi, lo, rng) -> LEnsemble:

@@ -560,10 +560,16 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
 
 def test_linalg_failure_exits_2(tmp_path, capsys, monkeypatch):
     # LinAlgError is a ValueError, but a failed eigensolve is a numeric
-    # failure, not a config problem.
+    # failure, not a config problem. A valid kernel's Cholesky factor spares
+    # it the eigensolve, so the factor fails too and validation falls back
+    # to eigvalsh.
+    def not_factored(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+    monkeypatch.setattr(np.linalg, "cholesky", not_factored)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     cfg = write_config(tmp_path, {"measure": {"kind": "dpp-L",
                                               "spectrum_step": STEP_4}})

@@ -12,6 +12,7 @@ from srmcmc import (CholeskyCache, KernelValidationError, LEnsemble,
                     rbf_kernel, spectrum_step_kernel,
                     validate_marginal_kernel)
 from srmcmc import dpp
+from srmcmc.dpp import EIG_TOL
 from srmcmc.measures import NEG_INF
 
 from conftest import random_psd_fixture
@@ -402,3 +403,162 @@ def test_eq4_marginals_vs_enumeration():
                            if all(mask >> i & 1 for i in combo))
                 got = np.linalg.det(K[np.ix_(combo, combo)])
                 assert got == pytest.approx(want, abs=1e-8)
+
+
+def rotated_kernel(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q (not symmetrized)."""
+    n = len(eigenvalues)
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    return (Q * np.asarray(eigenvalues, dtype=float)) @ Q.T
+
+
+def spread(n, lo, hi, seed):
+    """n eigenvalues: lo, hi and n - 2 drawn uniformly from the middle half
+    of the interval between them."""
+    inner = np.random.default_rng(seed).uniform(0.25, 0.75, n - 2)
+    return np.concatenate([[lo], lo + (hi - lo) * inner, [hi]])
+
+
+LAMBDA_MINS = [0.0, -0.3e-8, -0.9e-8, -1.1e-8, -5e-8]
+LAMBDA_MAXES = [1.0, 1.0 + 0.9e-8, 1.0 + 1.1e-8]
+
+
+def verdict_cases():
+    """(validator, kernel, whether its spectrum is built to be refused) for
+    LEnsemble and validate_marginal_kernel: a rank-deficient X X^T, a
+    projection, 0x0 kernels and rotated diagonal kernels whose extreme
+    eigenvalues sit on either side of the EIG_TOL and EIG_TOL/2 margins."""
+    X = np.random.default_rng(31).standard_normal((200, 40))
+    yield LEnsemble, X @ X.T, False
+    yield validate_marginal_kernel, X @ X.T / np.linalg.norm(X, 2) ** 2, False
+    P = rotated_kernel(np.r_[np.ones(30), np.zeros(20)], 32)
+    yield validate_marginal_kernel, P, False
+    for build in (LEnsemble, validate_marginal_kernel):
+        yield build, np.zeros((0, 0)), False
+    for i, (n, scale, lo) in enumerate(itertools.product(
+            (2, 50, 200), (1.0, 1e4), LAMBDA_MINS)):
+        eig = spread(n, lo, scale, i)
+        yield LEnsemble, rotated_kernel(eig, 100 + i), lo < -EIG_TOL
+    for i, (n, lo, hi) in enumerate(itertools.product(
+            (2, 50, 200), LAMBDA_MINS, LAMBDA_MAXES)):
+        eig = spread(n, lo, hi, i)
+        yield (validate_marginal_kernel, rotated_kernel(eig, 200 + i),
+               lo < -EIG_TOL or hi > 1.0 + EIG_TOL)
+
+
+def reference_verdict(build, M):
+    """The refusal message the eigenvalue rule gives, or None to accept:
+    the extreme eigenvalues of the symmetrized kernel from
+    ``np.linalg.eigvalsh``, against -EIG_TOL and 1 + EIG_TOL."""
+    if M.size == 0:
+        return None
+    evals = np.linalg.eigvalsh(0.5 * (M + M.T))
+    lo, hi = evals[0], evals[-1]
+    if build is LEnsemble:
+        if float(lo) < -EIG_TOL:
+            return f"L-ensemble eigenvalue {float(lo):.6g} below 0"
+    elif lo < -EIG_TOL or hi > 1.0 + EIG_TOL:
+        return f"marginal kernel spectrum [{lo:.6g}, {hi:.6g}] outside [0, 1]"
+    return None
+
+
+def test_validator_verdict_table():
+    """Each validator accepts exactly the kernels whose extreme eigenvalues
+    lie within EIG_TOL of the valid range, and refuses the others with the
+    message that names them, without a warning, whatever route decides."""
+    cases = list(verdict_cases())
+    assert len(cases) == 3 + 2 + 30 + 45
+    for build, M, designed in cases:
+        want = reference_verdict(build, M)
+        assert (want is not None) == designed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                build(M)
+            except KernelValidationError as exc:
+                got = str(exc)
+            else:
+                got = None
+        assert got == want
+
+
+def test_valid_kernels_reach_no_eigensolver(monkeypatch):
+    """Valid kernels are accepted without ``eigvalsh``; ``marginal_to_l``
+    decomposes once, with the ``eigh`` its conversion needs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a valid kernel")
+
+    eigh_calls = []
+    original_eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        eigh_calls.append(a.shape)
+        return original_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = np.random.default_rng(8)
+    rbf_kernel(rng.random((200, 5)), 0.5)
+    spectrum_step_kernel(200, 100, 500.0, 1.0 / 500.0, rng)
+    X = rng.standard_normal((200, 40))
+    K = l_to_marginal(LEnsemble(X @ X.T))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    marginal_to_l(K)
+    assert eigh_calls == [(200, 200)]
+
+
+def conversion_kernel(family, n):
+    if family == "psd":
+        return random_psd_fixture(n)
+    if family == "rbf":
+        return rbf_kernel(np.random.default_rng(n).random((n, 5)), 0.5)
+    return spectrum_step_kernel(n, n // 2, 500.0, 1.0 / 500.0,
+                                np.random.default_rng(n))
+
+
+# sha256 over the bytes of the kernel L, K = l_to_marginal(L) and the L of
+# marginal_to_l(K), recorded at commit 3723760: validation must not change a
+# converted or stored kernel by a bit.
+CONVERSION_DIGESTS = {
+    "psd-1":
+        "ba4c0f59b549f5d31aba268fc18787faa58c55409aeedfd3d18b80a068e753e5",
+    "psd-5":
+        "1b868b29318b7f665339ce942d78c271d1568d392284a123a6836827aefc971a",
+    "psd-16":
+        "652155a5bc1ca2cbf78f6873b222b1738e9176ba65f1be43468b5881b63f8afc",
+    "psd-60":
+        "5457196cea0f5cf4c0c541e002493789265d8703b14dce4452ee3a1c4fc0389c",
+    "psd-200":
+        "8af24037a419bbf225b21587306b35be14fe7100cf6eadac967645b310f3bc7e",
+    "rbf-1":
+        "04c3661c65e15924484acfcd363f98733fde0b318094bb91eb471fc2a20884e7",
+    "rbf-5":
+        "03cf6e943dc2d49a30c69f810b542c0d68ac4d945dad04963b535292e4a75dd2",
+    "rbf-16":
+        "30207a8a27b848e03027f24b3561d6e796844c908a2e98363881fef04eab60e3",
+    "rbf-60":
+        "c8fab28cc59a0ca1a5216f033afbb5441ab3b5a83004bdd63041d3226e9f6165",
+    "rbf-200":
+        "70f2f8b6abcb113c8a718c54e68cbdb9f051fd44b9e215b2d4db04215721b47d",
+    "step-1":
+        "18e7bb58570313e461a11c02724d0082c2391397db512dcdb89dc7d548d7d51a",
+    "step-5":
+        "90ac11249e2b735ef0ed66e363c095cf795781ac39f7cb0b6f566b0260e7e86d",
+    "step-16":
+        "9977d0a21ee2301bc8ce32a638e241273e1f43123a4ccb824d1bbb3a7d1f1794",
+    "step-60":
+        "7e201345ae3270475d4bbfcb1ec3d5b95d6210c7c0c9bf957a769a42311c85ed",
+    "step-200":
+        "1e7775b9664280f15362f8bb3b4fbfcc144b9cb675d5d752e1c7cc6fb9c95757",
+}
+
+
+@pytest.mark.parametrize("case", list(CONVERSION_DIGESTS))
+def test_conversions_reproduce_across_versions(case):
+    family, n = case.split("-")
+    m = conversion_kernel(family, int(n))
+    K = l_to_marginal(m)
+    digest = hashlib.sha256(m.L.tobytes())
+    digest.update(K.tobytes())
+    digest.update(marginal_to_l(K).L.tobytes())
+    assert digest.hexdigest() == CONVERSION_DIGESTS[case]
