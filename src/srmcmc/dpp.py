@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo
-from scipy.linalg.lapack import dtrtri
+from numpy.linalg._umath_linalg import cholesky_lo, inv as _inv
 
 from .measures import NEG_INF, MeasureOracle, SubsetState
 
@@ -35,13 +34,17 @@ def _check_symmetric(M, tol, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise KernelValidationError(f"{name} must be a square matrix")
+    # One N x N buffer holds M - M^T, its abs, and then 0.5 (M + M^T).
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused below
-        asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
+        buf = np.subtract(M, M.T)
+    asym = float(np.max(np.abs(buf, out=buf))) if M.size else 0.0
     if not math.isfinite(asym):
         raise KernelValidationError(f"{name} has a NaN or infinite entry")
     if asym > tol:
         raise KernelValidationError(f"{name} asymmetric: max |M - M^T| = {asym:.3e}")
-    return 0.5 * (M + M.T)
+    np.add(M, M.T, out=buf)
+    buf *= 0.5
+    return buf
 
 
 def _factors(A, shift):
@@ -185,15 +188,23 @@ class CholeskyCache:
     Keeps the active elements in the index array ``order``, the inverse
     ``inv = (L_S)^{-1}`` in that order, and the running log-determinant. Every
     ratio is a Schur complement read from ``inv`` with no solve (Kang 2013):
-    with p the position of s and c = L[order, t], deleting s scales det(L_S)
-    by inv[p, p], adding t by the pivot L_tt - c^T inv c, and swapping s for t
-    by inv[p, p] (L_tt - c^T inv c) + (inv c)_p^2. Accepted moves update
-    ``inv`` by rank-1 block-inverse formulas; a delete moves the last element
-    into the freed position. A Cholesky factor of L_S is formed only at a
-    rebuild: every ``REBUILD_INTERVAL`` accepted moves, or when an add pivot
-    or a deleted inv[p, p] falls below ``PIVOT_TOL``. A rebuild that finds
-    L_S numerically singular sets ``flagged`` and raises ``ArithmeticError``;
-    the cache is not usable after that.
+    with p the position of s, c = L[order, t] and w = inv c, deleting s scales
+    det(L_S) by kp = inv[p, p], adding t by the pivot L_tt - c^T w, and
+    swapping s for t by r = kp (L_tt - c^T w) + w_p^2.
+
+    Accepted moves update ``inv`` without a solve. An add borders it by
+    the pivot; a delete subtracts a a^T / kp, with a = inv[p], and moves the
+    last element into the freed position. A swap puts t in s's position p
+    and makes one rank-2 update: with pivot' = r / kp, the add pivot of t on
+    S - s, and v = w - a (w_p / kp) but v_p = -1,
+    inv <- inv - a a^T / kp + v v^T / pivot', and log det gains log r. An add
+    or a swap reuses the w of the ratio just read for the same move.
+
+    A Cholesky factor of L_S is formed only at a rebuild: every
+    ``REBUILD_INTERVAL`` accepted moves, or when an add pivot, a deleted
+    inv[p, p], or a swap's kp or pivot' falls below ``PIVOT_TOL``. A rebuild
+    that finds L_S numerically singular sets ``flagged`` and raises
+    ``ArithmeticError``; the cache is not usable after that.
     """
 
     REBUILD_INTERVAL = 512
@@ -210,7 +221,7 @@ class CholeskyCache:
         self._rebuild()
 
     def _push(self, t):
-        self._pending_add = None
+        self._pending = None
         self._pos[t] = self.size
         self._idx[self.size] = t
         self.size += 1
@@ -219,7 +230,7 @@ class CholeskyCache:
     def _pop(self, s):
         """Drop s from the order, move the last element into its position
         and return that position."""
-        self._pending_add = None
+        self._pending = None
         p = self._pos.pop(s)
         self.size -= 1
         if p != self.size:
@@ -231,7 +242,7 @@ class CholeskyCache:
 
     def _rebuild(self):
         self._accepted = 0
-        self._pending_add = None
+        self._pending = None
         self.inv = np.zeros((0, 0))
         self.log_det = 0.0
         self.flagged = False
@@ -243,8 +254,20 @@ class CholeskyCache:
             self.flagged = True
             raise ArithmeticError("DPP cache flagged: the rebuild found L_S "
                                   "numerically singular")
-        chol_inv = dtrtri(chol, lower=1)[0]
+        # The gufunc behind np.linalg.inv: numpy's own LAPACK, no wrapper.
+        chol_inv = _inv(chol, signature="d->d")
         self.inv = chol_inv.T @ chol_inv
+
+    def _swap_terms(self, s, t):
+        """Stash and return ((s, t), w, r) for swapping s for t."""
+        if t in self._pos:
+            raise ValueError(f"element {t} already active")
+        p = self._pos[s]
+        c = self.L[t][self.order]
+        w = self.inv.dot(c)
+        r = float(self.inv[p, p] * (self.L[t, t] - c.dot(w)) + w[p] * w[p])
+        self._pending = ((s, t), w, r)
+        return self._pending
 
     def add_ratio(self, t) -> float:
         """det(L_{S+t}) / det(L_S) = L_tt - c^T inv c, the Schur complement pivot."""
@@ -253,7 +276,7 @@ class CholeskyCache:
         c = self.L[t][self.order]
         w = self.inv.dot(c)
         pivot = float(self.L[t, t] - c.dot(w))
-        self._pending_add = (t, w, pivot)
+        self._pending = (t, w, pivot)
         return pivot if pivot > 0.0 else 0.0
 
     def delete_ratio(self, s) -> float:
@@ -263,18 +286,15 @@ class CholeskyCache:
 
     def swap_ratio(self, s, t) -> float:
         """det(L_{S-s+t}) / det(L_S) = inv[p, p] (L_tt - c^T inv c) + (inv c)_p^2."""
-        p = self._pos[s]
-        c = self.L[t][self.order]
-        w = self.inv.dot(c)
-        r = float(self.inv[p, p] * (self.L[t, t] - c.dot(w)) + w[p] * w[p])
+        r = self._swap_terms(s, t)[2]
         return r if r > 0.0 else 0.0
 
     def apply_add(self, t):
         t = int(t)
-        pending = self._pending_add
+        pending = self._pending
         if pending is None or pending[0] != t:
             self.add_ratio(t)
-            pending = self._pending_add
+            pending = self._pending
         k = self.size
         self._push(t)
         if pending[2] < self.PIVOT_TOL:
@@ -309,8 +329,30 @@ class CholeskyCache:
         self._bump()
 
     def apply_swap(self, s, t):
-        self.apply_delete(s)
-        self.apply_add(t)
+        s, t = int(s), int(t)
+        # A ratio read for another move, or none, leaves no usable w.
+        pending = self._pending
+        if pending is None or pending[0] != (s, t):
+            pending = self._swap_terms(s, t)
+        _, w, r = pending
+        self._pending = None
+        p = self._pos.pop(s)
+        self._pos[t] = p
+        self._idx[p] = t
+        inv = self.inv
+        kp = float(inv[p, p])
+        if kp < self.PIVOT_TOL or r < self.PIVOT_TOL * kp:  # pivot' = r / kp
+            self._rebuild()
+            return
+        a = inv[p]
+        v = w - a * (w[p] / kp)
+        v[p] = -1.0
+        # inv - a a^T / kp + v v^T / pivot' as one product; U copies a
+        # before inv changes.
+        U = np.array([a, v])
+        inv += U.T.dot(U / np.array([[-kp], [r / kp]]))
+        self.log_det += math.log(r)
+        self._bump()
 
     def _bump(self):
         self._accepted += 1

@@ -263,8 +263,8 @@ class TestCachedDppPath:
     @pytest.mark.parametrize("kind", ["exchange", "projection"])
     def test_kdpp_weights_across_a_rebuild(self, kind):
         # The k-DPP records the cache's running log det. An accepted swap is
-        # two cache updates, so more than REBUILD_INTERVAL accepted swaps
-        # pass at least one rebuild.
+        # one cache update, so more than REBUILD_INTERVAL accepted swaps pass
+        # at least one rebuild.
         m = random_psd_fixture(12)
         tr = run_chain(CardinalityConditionedMeasure(m, 5),
                        ChainSpec(kind, steps=10_000, seed=5,

@@ -2,10 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srmcmc
 from srmcmc import ProductMeasure, chains, exact
 from srmcmc.cli import ConfigError, main, load_kernel_csv
 
@@ -98,14 +103,17 @@ class TestSample:
         if measure["kind"] == "product-k":
             assert {len(rec["set"]) for rec in recs} == {2}
 
-    @pytest.mark.parametrize("cfg,digest", [
+    @pytest.mark.parametrize("cfg,pin", [
         ({"measure": {"kind": "product", "q": [0.3, 0.8, 0.5, 0.6]},
           "chain": {"kind": "add-delete", "steps": 300, "seed": 3}},
          "4b741aa5edf24b78eb8af41abe5da851e56119fe5e35c4e8645d6779f2e752a6"),
+        # Recorded at commit b03f4e6: the records without "logw", then the
+        # sum and the position-weighted sum of the "logw" values.
         ({"measure": {"kind": "dpp-L", "preset": "fig1b-like"},
           "chain": {"kind": "projection", "steps": 600, "seed": 1,
                     "init": "random-positive"}},
-         "a1489d21771221dda6135de325da70dc0b7cb2738d94c831dcc37e582966ef9c"),
+         ("ab15ab85789c6a86d7ac82bf1f851b79c9005381f8148d3ae3d4e2d8c6f13f2a",
+          -72156.53367928794, -17961836.080983575)),
         ({"measure": {"kind": "product-k", "q": [0.3, 0.8, 0.5, 0.6, 0.4],
                       "k": 2},
           "chain": {"kind": "exchange", "steps": 300, "seed": 2,
@@ -113,14 +121,27 @@ class TestSample:
          "31bd1d00eda67fb48892b91db927798257cc8ef2150edd14d1c78a42c7806021"),
     ], ids=["product-add-delete", "fig1b-like-projection",
             "product-k-exchange"])
-    def test_transcript_bytes_pinned(self, tmp_path, cfg, digest):
+    def test_transcript_bytes_pinned(self, tmp_path, cfg, pin):
         # Fixed-seed output is part of the interface: a refactor of the
-        # chain path must leave these files byte-identical.
+        # chain path must leave these files byte-identical. A DPP's "logw"
+        # is the cache's running log det, whose last bits follow the
+        # cache's arithmetic; there every other field is pinned exactly
+        # and the weights as REPRO_FINGERPRINTS pins them.
         out = tmp_path / "out"
         assert main(["sample", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
         data = (out / "chain_00.jsonl").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+        if isinstance(pin, str):
+            assert hashlib.sha256(data).hexdigest() == pin
+            return
+        digest, lw_sum, lw_weighted = pin
+        recs = [json.loads(line) for line in data.decode().splitlines()]
+        lw = np.array([rec.pop("logw") for rec in recs])
+        assert hashlib.sha256("\n".join(map(json.dumps, recs)).encode()
+                              ).hexdigest() == digest
+        assert lw.sum() == pytest.approx(lw_sum, rel=1e-12)
+        assert np.arange(1, lw.size + 1) @ lw == pytest.approx(lw_weighted,
+                                                               rel=1e-12)
 
 
 class TestKernelCsv:
@@ -589,3 +610,26 @@ def test_bad_json(tmp_path):
     path.write_text("{not json")
     assert main(["exact", "--config", str(path), "--out",
                  str(tmp_path / "o")]) == 1
+
+
+def test_scipy_never_loaded(tmp_path):
+    # numpy's own LAPACK does all the linear algebra; scipy would load a
+    # second BLAS and its thread pool into every process.
+    cfg = write_config(tmp_path, {
+        "measure": {"kind": "dpp-L", "spectrum_step": STEP_4},
+        "chain": {"kind": "projection", "steps": 600, "seed": 1}})
+    script = (
+        "import sys\n"
+        "import srmcmc\n"
+        "from srmcmc.cli import main\n"
+        "loaded = 'scipy' in sys.modules\n"
+        "for cmd in ('check', 'sample'):\n"
+        f"    assert main([cmd, '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'o')!r}]) == 0\n"
+        "print(loaded, 'scipy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(srmcmc.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False False"

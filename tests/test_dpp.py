@@ -191,6 +191,110 @@ class TestCholeskyCache:
         assert cache.log_det == pytest.approx(ref, rel=1e-6)
 
 
+def swap_walk(L, k, accepted, seed, check=None):
+    """Metropolis swaps of the k-DPP of L on one cache, from the first k
+    elements, until ``accepted`` swaps are accepted. ``check(cache, members)``
+    runs after each accepted swap; members is the set, kept apart from the
+    cache. Returns the cache and the set."""
+    rng = np.random.default_rng(seed)
+    n = L.shape[0]
+    cache = CholeskyCache(L, range(k))
+    members = set(range(k))
+    done = 0
+    while done < accepted:
+        s_el = int(cache.order[rng.integers(k)])
+        t = sorted(set(range(n)) - members)[rng.integers(n - k)]
+        if rng.random() < cache.swap_ratio(s_el, t):
+            before = cache.order.tolist()
+            cache.apply_swap(s_el, t)
+            members ^= {s_el, t}
+            # t takes s's position; the others keep theirs.
+            before[before.index(s_el)] = t
+            assert cache.order.tolist() == before
+            done += 1
+            if check is not None:
+                check(cache, members)
+    return cache, members
+
+
+class TestFusedSwap:
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_inverse_and_log_det_after_each_swap(self, n):
+        L = random_psd_fixture(n).L
+
+        def check(cache, members):
+            o = cache.order
+            ref = np.linalg.inv(L[np.ix_(o, o)])
+            assert np.abs(cache.inv - ref).max() <= 1e-9 * np.abs(ref).max()
+            assert cache.log_det == pytest.approx(
+                dpp_log_weight(L, S(sorted(members), n)), rel=1e-9,
+                abs=1e-12)
+
+        # Fewer swaps than REBUILD_INTERVAL: every check reads the updates.
+        swap_walk(L, n // 2, 300, seed=n, check=check)
+
+    def test_long_walk_drift(self, monkeypatch):
+        # Criterion 7's drift bound, over accepted swaps only. No periodic
+        # rebuild resets the drift: all 10^4 swaps are updates.
+        monkeypatch.setattr(CholeskyCache, "REBUILD_INTERVAL", 10**9)
+        n = 40
+        L = random_psd_fixture(n).L
+        cache, members = swap_walk(L, n // 2, 10_000, seed=9)
+        ref = dpp_log_weight(L, S(sorted(members), n))
+        assert cache.log_det == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("s_el, t, rebuilds", [
+        (1, 4, 0),  # kp = 1/2, pivot' = 5
+        (1, 3, 1),  # pivot' = L_33 = 1e-13
+        (0, 4, 1),  # kp = 1/L_00 = 1e-13
+    ])
+    def test_tiny_pivot_rebuilds(self, monkeypatch, s_el, t, rebuilds):
+        L = np.diag([1e13, 2.0, 3.0, 1e-13, 5.0])
+        cache = CholeskyCache(L, [0, 1, 2])
+        calls = []
+        original = CholeskyCache._rebuild
+
+        def counted(self):
+            calls.append(self.size)
+            original(self)
+
+        monkeypatch.setattr(CholeskyCache, "_rebuild", counted)
+        cache.swap_ratio(s_el, t)
+        cache.apply_swap(s_el, t)
+        assert len(calls) == rebuilds
+        members = sorted({0, 1, 2} ^ {s_el, t})
+        assert sorted(cache.order.tolist()) == members
+        o = cache.order
+        np.testing.assert_allclose(cache.inv, np.linalg.inv(L[np.ix_(o, o)]),
+                                   rtol=1e-12)
+        assert cache.log_det == pytest.approx(
+            dpp_log_weight(L, S(members, 5)), rel=1e-12)
+
+    def test_swap_to_an_active_element_raises(self):
+        cache = CholeskyCache(random_psd_fixture(8).L, range(4))
+        before = cache.inv.copy()
+        for call in (cache.swap_ratio, cache.apply_swap):
+            with pytest.raises(ValueError, match="already active"):
+                call(1, 2)
+        assert cache.order.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(cache.inv, before)
+
+    def test_swap_without_a_matching_ratio(self):
+        # The update recomputes w when the last ratio read was for another
+        # move, or there was none, and reuses it when it was for this one.
+        L = random_psd_fixture(8).L
+        for reads in ([], [(0, 5)], [(1, 6)], [(1, 5), (0, 6)]):
+            cache = CholeskyCache(L, range(4))
+            for s_el, t in reads:
+                cache.swap_ratio(s_el, t)
+            cache.apply_swap(1, 6)
+            o = cache.order
+            assert o.tolist() == [0, 6, 2, 3]
+            np.testing.assert_allclose(
+                cache.inv, np.linalg.inv(L[np.ix_(o, o)]), rtol=1e-9,
+                atol=1e-12)
+
+
 class TestSpectralSampler:
     def test_zero_kernel_gives_empty(self, rng):
         st = SpectralSampler(LEnsemble(np.zeros((4, 4)))).sample(rng)
