@@ -14,11 +14,16 @@ literal-delete flag of ``exact.transition_matrix`` builds its matrix, and
 
 Every step is one Metropolis move: a stepper draws a proposal and its ratio
 from the oracle, and :func:`_metropolis` accepts it with probability
-min(1, ratio). :func:`run_chain` runs on the measure's per-chain oracle
+min(1, ratio). :func:`run_chain` keeps one mutable
+:class:`~srmcmc.measures.ChainState`, so a proposal reads its j-th member or
+non-member from a sorted list in O(1) and an accepted move changes that
+state in place. It runs on the measure's per-chain oracle
 (``MeasureOracle.chain_oracle``), which applies each accepted move
 (``move``), so a measure with incremental per-chain state, such as an
 L-ensemble's inverse cache, keeps it in step without the chain loop knowing
-which measure it runs. A step's outcome is a shared :class:`MoveOutcome`.
+which measure it runs. A stepper given a plain ``SubsetState`` returns a new
+state for a move, as before. A step's outcome is a shared
+:class:`MoveOutcome`.
 Past its start state, a chain draws raw PCG64 words, bit for bit (`_Stream`).
 """
 from __future__ import annotations
@@ -30,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import NEG_INF, MeasureOracle, SubsetState, log_binomial
+from .measures import (NEG_INF, ChainState, MeasureOracle, SubsetState,
+                       log_binomial)
 
 CHAIN_KINDS = ("add-delete", "exchange", "projection")
 INIT_STRATEGIES = ("heaviest-singleton", "random-positive", "explicit-set")
@@ -85,7 +91,18 @@ class Transcript:
         return np.fromiter(map(len, self.states), float, len(self.states))
 
     def indicator(self, i):
-        return np.array([1.0 if i in s else 0.0 for s in self.states])
+        runs, lengths = state_runs(self.states)
+        hits = np.fromiter((i in s for s in runs), float, len(runs))
+        return np.repeat(hits, lengths)
+
+
+def state_runs(states):
+    """(the first tuple of each run, the run lengths) for a list of recorded
+    tuples, where a run is a stretch of one repeated tuple object: a hold or
+    a rejection repeats the tuple before it."""
+    new = [s is not p for s, p in zip(states, [None, *states[:-1]])]
+    lengths = np.diff(np.flatnonzero(new), append=len(new))
+    return list(itertools.compress(states, new)), lengths
 
 
 def chain_rng(seed, stream=0):
@@ -156,8 +173,8 @@ def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
     k = S.cardinality
     if k == 0 or k == n or rng.random() >= 0.5:
         return S, HOLD
-    s = int(S.indices()[rng.integers(k)])
-    t = int((~S.membership).nonzero()[0][rng.integers(n - k)])
+    s = S.members[rng.integers(k)]
+    t = S.others[rng.integers(n - k)]
     return _metropolis(measure, S, rng, "swap", measure.swap_ratio(S, s, t),
                        s=s, t=t)
 
@@ -175,16 +192,16 @@ def step_projection(measure: MeasureOracle, S: SubsetState, rng):
     q = rng.random()
     n2 = 2.0 * n * n
     if q < (n - k) ** 2 / n2:
-        t = int((~S.membership).nonzero()[0][rng.integers(n - k)])
+        t = S.others[rng.integers(n - k)]
         r = measure.add_ratio(S, t) * (k + 1) / (n - k)
         return _metropolis(measure, S, rng, "add", r, t=t)
     if q < (n - k) / (2.0 * n):
-        t = int((~S.membership).nonzero()[0][rng.integers(n - k)])
-        s = int(S.indices()[rng.integers(k)])
+        t = S.others[rng.integers(n - k)]
+        s = S.members[rng.integers(k)]
         return _metropolis(measure, S, rng, "swap",
                            measure.swap_ratio(S, s, t), s=s, t=t)
     if q < (k * k + n * (n - k)) / n2:
-        s = int(S.indices()[rng.integers(k)])
+        s = S.members[rng.integers(k)]
         return _metropolis(measure, S, rng, "delete",
                            measure.delete_ratio(S, s) * ((n - k + 1) / k),
                            s=s)
@@ -217,27 +234,27 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
     Applies ``burn_in`` steps, then records the state after every ``thin``-th
     of the remaining ``steps`` steps. With steps=0 the transcript holds only
     the post-burn-in initial state. Draws after ``initial_state`` come from
-    the chain's raw PCG64 words, bit for bit. A retained draw that repeats
-    the previous retained state object (the chain held or rejected) reuses
-    its index tuple and log weight. An ``ArithmeticError`` from the oracle
-    (a flagged DPP cache) is raised again with the stream named.
+    the chain's raw PCG64 words, bit for bit. The chain keeps one
+    :class:`ChainState`, built from the start state, which every accepted
+    move changes in place; a retained draw with no accepted move since the
+    previous one (the chain held or rejected) reuses that record's index
+    tuple and log weight. An ``ArithmeticError`` from the oracle (a flagged
+    DPP cache) is raised again with the stream named.
     """
     rng = chain_rng(spec.seed, stream)
-    S = initial_state(measure, spec, rng)
+    S = ChainState(initial_state(measure, spec, rng).membership)
     rng = _Stream(rng)
     # Chosen per call from the module globals, so that a stepper replaced at
     # run time (a tracer, a test double) is the one that runs.
     step = {"add-delete": step_add_delete, "exchange": step_exchange,
             "projection": step_projection}[spec.kind]
     tr = Transcript(n=measure.n)
-    last = [None, None, None]  # the last recorded state, its tuple, weight
+    last = [-1, None, None]  # accepted moves at the last record, tuple, weight
 
-    def record(step_index, state, outcome):
-        # A hold or a rejection returns the same object, and the oracle's
-        # state changes only in an accepted move, which returns a new one.
-        if state is not last[0]:
-            last[:] = (state, tuple(state.indices().tolist()),
-                       float(oracle.log_weight(state)))
+    def record(step_index, outcome):
+        if S.accepted_moves != last[0]:
+            last[:] = (S.accepted_moves, tuple(S.members),
+                       float(oracle.log_weight(S)))
         tr.steps.append(step_index)
         tr.states.append(last[1])
         tr.log_weights.append(last[2])
@@ -246,13 +263,13 @@ def run_chain(measure: MeasureOracle, spec: ChainSpec, stream=0) -> Transcript:
     try:
         oracle = measure.chain_oracle(S)
         for _ in range(spec.burn_in):
-            S, _ = step(oracle, S, rng)
+            step(oracle, S, rng)
         if spec.steps == 0:
-            record(0, S, HOLD)
+            record(0, HOLD)
         for i in range(1, spec.steps + 1):
-            S, out = step(oracle, S, rng)
+            out = step(oracle, S, rng)[1]
             if i % spec.thin == 0:
-                record(i, S, out)
+                record(i, out)
     except ArithmeticError as e:
         raise ArithmeticError(f"stream {stream}: {e}") from e
     return tr

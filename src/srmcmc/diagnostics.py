@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .chains import state_runs
+
 DEGENERATE_VAR = 1e-300
 DEFAULT_THRESHOLD = 1.05
 DEFAULT_CHAINS = 10
@@ -152,11 +154,9 @@ def empirical_marginals(transcripts):
     chunks = (t.states[a:a + MARGINAL_CHUNK] for t in transcripts
               for a in range(0, len(t.states), MARGINAL_CHUNK))
     for states in chunks:
-        new = [s is not p for s, p in zip(states, [None, *states[:-1]])]
-        runs = list(itertools.compress(states, new))
+        runs, lengths = state_runs(states)
         sizes = list(map(len, runs))
         flat = np.fromiter(itertools.chain.from_iterable(runs), np.intp, sum(sizes))
-        lengths = np.diff(np.flatnonzero(new), append=len(new))
         counts += np.bincount(flat, np.repeat(lengths, sizes), minlength=n)
     total = sum(map(len, transcripts))
     est = counts / total

@@ -371,7 +371,7 @@ class _CachedDppOracle(MeasureOracle):
 
     def __init__(self, measure: LEnsemble, S: SubsetState):
         self.n = measure.n
-        self.cache = CholeskyCache(measure.L, S.indices())
+        self.cache = CholeskyCache(measure.L, S.members)
 
     def log_weight(self, S):
         return self.cache.log_det

@@ -4,6 +4,12 @@ All weights live in log domain; ``-inf`` is the first-class encoding of a
 zero-weight set. The chain steppers only ever consume the ratio operations,
 which share one default body and may be overridden by faster specializations.
 
+A chain keeps one :class:`ChainState`, a :class:`SubsetState` that also
+holds sorted lists of its members and of the other elements, so a proposal
+reads its j-th member or non-member in O(1), and an accepted move changes
+the state in place instead of copying it. A plain :class:`SubsetState` keeps
+value semantics: a move from it is a new state.
+
 A chain runs on ``measure.chain_oracle(S)``, which answers those ratios for
 one chain and applies each accepted move (``move``), returning the next
 state. The default oracle is the measure itself; a measure that keeps
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -67,6 +74,17 @@ class SubsetState:
     def indices(self):
         return self.membership.nonzero()[0]
 
+    # A ChainState answers these two from its own sorted lists, in O(1).
+    @property
+    def members(self):
+        """The elements of the set, ascending, as a list of ints."""
+        return self.indices().tolist()
+
+    @property
+    def others(self):
+        """The elements outside the set, ascending, as a list of ints."""
+        return (~self.membership).nonzero()[0].tolist()
+
     def contains(self, i):
         return bool(self.membership[i])
 
@@ -99,13 +117,64 @@ class SubsetState:
         m[t] = True
         return SubsetState(m)
 
+    def moved(self, kind, s, t):
+        """The state after the move "add" t, "delete" s, or "swap" s for t:
+        a new state; this one is left as it is."""
+        if kind == "add":
+            return self.with_added(t)
+        if kind == "delete":
+            return self.with_deleted(s)
+        return self.with_swapped(s, t)
+
     def __eq__(self, other):
         return isinstance(other, SubsetState) and np.array_equal(
             self.membership, other.membership
         )
 
     def __repr__(self):
-        return f"SubsetState({sorted(int(i) for i in self.indices())}, n={self.n})"
+        return f"{type(self).__name__}({self.members}, n={self.n})"
+
+
+class ChainState(SubsetState):
+    """The one mutable state of a running chain.
+
+    Besides the membership vector and the cardinality it keeps ``members``
+    and ``others``, the elements in and out of the set as ascending lists,
+    in the order ``indices()`` lists them, and ``accepted_moves``, the
+    number of moves applied to it. ``moved`` changes all of them in place
+    and returns the state itself: it flips the membership bits and keeps
+    both lists sorted by bisection, without a copy of the state.
+    """
+
+    __slots__ = ("members", "others", "accepted_moves")
+
+    def __init__(self, membership):
+        super().__init__(np.array(membership, dtype=bool))
+        self.members = np.flatnonzero(self.membership).tolist()
+        self.others = np.flatnonzero(~self.membership).tolist()
+        self.accepted_moves = 0
+
+    def moved(self, kind, s, t):
+        """Apply the move "add" t, "delete" s, or "swap" s for t to this
+        state and return it. An illegal move raises ``ValueError`` and
+        changes nothing."""
+        m = self.membership
+        if kind != "add" and not m[s]:
+            raise ValueError(f"element {s} not in set")
+        if kind != "delete" and m[t]:
+            raise ValueError(f"element {t} already in set")
+        members, others = self.members, self.others
+        if kind != "add":
+            m[s] = False
+            del members[bisect_left(members, s)]
+            insort(others, s)
+        if kind != "delete":
+            m[t] = True
+            del others[bisect_left(others, t)]
+            insort(members, t)
+        self.cardinality = len(members)
+        self.accepted_moves += 1
+        return self
 
 
 class MeasureOracle:
@@ -127,13 +196,10 @@ class MeasureOracle:
 
     def move(self, S: SubsetState, kind, s, t) -> SubsetState:
         """The state after an accepted move from S: "add" t, "delete" s, or
-        "swap" s for t. It is always a new state; S is neither mutated nor
-        returned, so ``run_chain`` can tell a move from a hold by identity."""
-        if kind == "add":
-            return S.with_added(t)
-        if kind == "delete":
-            return S.with_deleted(s)
-        return S.with_swapped(s, t)
+        "swap" s for t (``S.moved``). A chain's :class:`ChainState` is
+        changed in place and returned; a plain :class:`SubsetState` is left
+        as it is and a new state returned."""
+        return S.moved(kind, s, t)
 
     def singleton_log_weights(self) -> np.ndarray:
         """log pi({i}) for every element i."""

@@ -12,7 +12,7 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
 from srmcmc.chains import initial_state
 from srmcmc.dpp import (CholeskyCache, dpp_log_weight, rbf_kernel,
                         spectrum_step_kernel)
-from srmcmc.measures import NEG_INF, MeasureOracle
+from srmcmc.measures import NEG_INF, ChainState, MeasureOracle
 
 from conftest import product_fixture, random_psd_fixture, uniform_table
 
@@ -301,22 +301,28 @@ RECORDED_MEASURES = {
 
 class TestRecording:
     """``run_chain`` computes a retained state's tuple and log weight once
-    per state object, and the oracle's ``move`` never returns or mutates
-    the state it moves from, which that reuse relies on."""
+    per run of retained draws with no accepted move between them, each time
+    on the chain's state after the last of those moves."""
 
     @staticmethod
-    def _spy(monkeypatch, measure):
+    def _snapshot(state):
+        return state.accepted_moves, tuple(np.flatnonzero(state.membership))
+
+    @classmethod
+    def _spy(cls, monkeypatch, measure):
         """Wrap the per-chain oracle's ``log_weight`` with a counter, and keep
-        the initial state and every state a stepper returns, in order."""
+        a snapshot (accepted moves, members) of the chain's state at the
+        start and after every step, in order."""
         calls, states = [], []
         make = measure.chain_oracle
 
         def chain_oracle(S):
+            states.append(cls._snapshot(S))
             oracle = make(S)
             weigh = oracle.log_weight
 
             def counted(state):
-                calls.append(state)
+                calls.append(cls._snapshot(state))
                 return weigh(state)
 
             oracle.log_weight = counted
@@ -324,18 +330,15 @@ class TestRecording:
 
         measure.chain_oracle = chain_oracle
 
-        def keep(function, state_of):
+        def keep(function):
             def spy(*args):
                 out = function(*args)
-                states.append(state_of(out))
+                states.append(cls._snapshot(out[0]))
                 return out
             return spy
 
-        monkeypatch.setattr(chains, "initial_state",
-                            keep(chains.initial_state, lambda out: out))
         for name in ("step_add_delete", "step_exchange", "step_projection"):
-            monkeypatch.setattr(chains, name, keep(getattr(chains, name),
-                                                   lambda out: out[0]))
+            monkeypatch.setattr(chains, name, keep(getattr(chains, name)))
         return calls, states
 
     @pytest.mark.parametrize("name, kind, thin, burn_in, steps", [
@@ -362,19 +365,18 @@ class TestRecording:
         # draw recorded at post-burn-in step i is states[burn_in + i].
         retained = [states[burn_in + i] for i in tr.steps]
         changed = [retained[0]] + [b for a, b in zip(retained, retained[1:])
-                                   if b is not a]
-        assert len(calls) == len(changed)
-        assert all(c is s for c, s in zip(calls, changed))
+                                   if b[0] != a[0]]
+        assert calls == changed
         if steps:
             assert len(changed) < len(tr)
         n = measure.n
         reference = type(measure).log_weight
         for j, (state, lw) in enumerate(zip(tr.states, tr.log_weights)):
-            assert state == tuple(retained[j].indices())
+            assert state == retained[j][1]
             assert lw == pytest.approx(
                 reference(measure, SubsetState.from_indices(state, n)),
                 rel=rtol, abs=0.0)
-            if j and retained[j] is retained[j - 1]:
+            if j and retained[j][0] == retained[j - 1][0]:
                 assert state is tr.states[j - 1]
 
     @pytest.mark.parametrize("name, oracle_type", [
@@ -408,6 +410,144 @@ class TestRecording:
         assert len(set(tr.states)) > 20
         assert tr.log_weights == [ProductMeasure.log_weight(base, S(s, 8))
                                   for s in tr.states]
+
+
+class TestChainState:
+    """A chain's one mutable state keeps its sorted member and non-member
+    lists equal to the membership vector through every in-place move."""
+
+    @staticmethod
+    def _fields(state):
+        return (state.membership.copy(), state.cardinality,
+                list(state.members), list(state.others), state.accepted_moves)
+
+    @staticmethod
+    def _check(state):
+        m = state.membership
+        assert state.members == np.flatnonzero(m).tolist()
+        assert state.others == np.flatnonzero(~m).tolist()
+        assert state.cardinality == np.count_nonzero(m) == len(state.members)
+
+    @pytest.mark.parametrize("n", [1, 8, 200])
+    def test_random_walk_keeps_lists_sorted(self, n):
+        rng = np.random.default_rng(n)
+        state = ChainState(rng.random(n) < 0.5)
+        self._check(state)
+        expected = set(np.flatnonzero(state.membership).tolist())
+        for step in range(10_000):
+            kinds = [kind for kind, legal in (
+                ("add", state.others), ("delete", state.members),
+                ("swap", state.members and state.others)) if legal]
+            kind = kinds[rng.integers(len(kinds))]
+            s = t = None
+            if kind != "add":
+                s = state.members[rng.integers(len(state.members))]
+                expected.remove(s)
+            if kind != "delete":
+                t = state.others[rng.integers(len(state.others))]
+                expected.add(t)
+            assert state.moved(kind, s, t) is state
+            assert state.accepted_moves == step + 1
+            self._check(state)
+            assert state.members == sorted(expected)
+            if step % 1000 == 0:
+                # The j-th member and non-member are the ones the steppers
+                # picked from a scan of the membership vector.
+                plain = SubsetState(state.membership.copy())
+                for j in range(len(state.members)):
+                    assert state.members[j] == int(plain.indices()[j])
+                for j in range(len(state.others)):
+                    assert state.others[j] == int(
+                        (~plain.membership).nonzero()[0][j])
+
+    @pytest.mark.parametrize("kind, s, t", [
+        ("add", None, 3), ("delete", 2, None), ("swap", 2, 4),
+        ("swap", 1, 3), ("swap", 2, 0),
+    ])
+    def test_illegal_move_raises_and_changes_nothing(self, kind, s, t):
+        state = ChainState(S([1, 3, 6], 8).membership)
+        state.moved("add", None, 5)
+        before = self._fields(state)
+        with pytest.raises(ValueError):
+            state.moved(kind, s, t)
+        after = self._fields(state)
+        assert np.array_equal(after[0], before[0])
+        assert after[1:] == before[1:]
+
+    def test_start_state_is_copied(self):
+        start = S([1, 3, 6], 8)
+        state = ChainState(start.membership)
+        state.moved("swap", 3, 5)
+        assert tuple(start.indices()) == (1, 3, 6)
+        assert state.members == [1, 5, 6] and state == S([1, 5, 6], 8)
+
+    @pytest.mark.parametrize("name", list(RECORDED_MEASURES))
+    @pytest.mark.parametrize("kind, s, t, after", [
+        ("add", None, 5, [1, 3, 5, 6]),
+        ("delete", 3, None, [1, 6]),
+        ("swap", 3, 5, [1, 5, 6]),
+    ])
+    def test_oracle_moves_chain_state_in_place(self, name, kind, s, t, after):
+        state = ChainState(S([1, 3, 6], 8).membership)
+        oracle = RECORDED_MEASURES[name](8).chain_oracle(state)
+        assert oracle.move(state, kind, s, t) is state
+        assert state.members == after
+        self._check(state)
+
+
+class TestNoScanOrCopyInChainPath:
+    """Once the start state is built, no chain step copies a state or scans
+    the membership vector: ``SubsetState``'s copying moves and ``indices``
+    raise, and every chain still runs."""
+
+    @pytest.mark.parametrize("name", list(RECORDED_MEASURES))
+    @pytest.mark.parametrize("kind", chains.CHAIN_KINDS)
+    def test_chain_runs_without_state_copies(self, monkeypatch, name, kind):
+        start = chains.initial_state
+
+        def forbidden(attr):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"SubsetState.{attr} called in a chain")
+            return fail
+
+        def guarded(*args):
+            state = start(*args)
+            for attr in ("with_added", "with_deleted", "with_swapped",
+                         "indices"):
+                monkeypatch.setattr(SubsetState, attr, forbidden(attr))
+            return state
+
+        monkeypatch.setattr(chains, "initial_state", guarded)
+        tr = run_chain(RECORDED_MEASURES[name](40),
+                       ChainSpec(kind, steps=3000, burn_in=100, thin=3,
+                                 seed=11, init="random-positive"))
+        accepted = sum(m.accepted and m.kind != "hold" for m in tr.moves)
+        # A k-DPP's adds and deletes leave the shell and are all rejected.
+        assert accepted > 0 or (name, kind) == ("k-dpp", "add-delete")
+
+
+class TestIndicator:
+    @pytest.mark.parametrize("measure, kind, moving", [
+        # Full set: every exchange step is a forced hold.
+        (CardinalityConditionedMeasure(product_fixture(6), 6), "exchange",
+         False),
+        # Adds and deletes leave the shell: every proposal is rejected.
+        (CardinalityConditionedMeasure(product_fixture(6), 3), "add-delete",
+         False),
+        (product_fixture(6), "add-delete", True),
+    ], ids=["held", "rejected", "moving"])
+    def test_indicator_equals_tuple_walk(self, measure, kind, moving):
+        start = tuple(range(getattr(measure, "k", 3)))
+        tr = run_chain(measure, ChainSpec(kind, steps=500, seed=4,
+                                          init="explicit-set",
+                                          init_set=start))
+        assert (len(set(tr.states)) > 1) == moving
+        for i in range(measure.n):
+            walk = np.array([1.0 if i in s else 0.0 for s in tr.states])
+            assert np.array_equal(tr.indicator(i), walk)
+
+    def test_empty_transcript(self):
+        assert chains.Transcript(n=3).indicator(0).shape == (0,)
 
 
 class TestHeaviestSingletonStart:
