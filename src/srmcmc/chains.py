@@ -21,9 +21,7 @@ state in place. It runs on the measure's per-chain oracle
 (``MeasureOracle.chain_oracle``), which applies each accepted move
 (``move``), so a measure with incremental per-chain state, such as an
 L-ensemble's inverse cache, keeps it in step without the chain loop knowing
-which measure it runs. A stepper given a plain ``SubsetState`` returns a new
-state for a move, as before. A step's outcome is a shared
-:class:`MoveOutcome`.
+which measure it runs. A step's outcome is a shared :class:`MoveOutcome`.
 Past its start state, a chain draws raw PCG64 words, bit for bit (`_Stream`).
 """
 from __future__ import annotations
@@ -142,7 +140,7 @@ class _Stream:
         return 0
 
 
-def _metropolis(oracle: MeasureOracle, S: SubsetState, rng, kind, r,
+def _metropolis(oracle: MeasureOracle, S: ChainState, rng, kind, r,
                 s=None, t=None):
     """Accept the proposed move with probability min(1, r): draw u, keep S
     when u >= min(1, r), otherwise have the oracle apply the move. Returns
@@ -152,7 +150,7 @@ def _metropolis(oracle: MeasureOracle, S: SubsetState, rng, kind, r,
     return oracle.move(S, kind, s, t), ACCEPTED[kind]
 
 
-def step_add_delete(measure: MeasureOracle, S: SubsetState, rng):
+def step_add_delete(measure: MeasureOracle, S: ChainState, rng):
     """One lazy add-delete Metropolis step.
 
     With probability 1/2 hold; otherwise pick t uniformly from the ground set
@@ -167,7 +165,7 @@ def step_add_delete(measure: MeasureOracle, S: SubsetState, rng):
     return _metropolis(measure, S, rng, "add", measure.add_ratio(S, t), t=t)
 
 
-def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
+def step_exchange(measure: MeasureOracle, S: ChainState, rng):
     """One lazy Gibbs exchange step: swap uniform s in S with uniform t not in S."""
     n = measure.n
     k = S.cardinality
@@ -179,7 +177,7 @@ def step_exchange(measure: MeasureOracle, S: SubsetState, rng):
                        s=s, t=t)
 
 
-def step_projection(measure: MeasureOracle, S: SubsetState, rng):
+def step_projection(measure: MeasureOracle, S: ChainState, rng):
     """One step of the projection chain.
 
     Draw q uniform, then only the elements the chosen branch needs, in the

@@ -7,8 +7,9 @@ and then does its work, and the output directory is made at the first write,
 so a rejected config leaves nothing behind. Unknown config keys are rejected
 so that misspelled knobs cannot be silently ignored.
 
-Exit codes: 0 success, 1 invalid config or size limits, 2 numeric or
-validation failure (including failed checks).
+Exit codes: 0 success, 1 invalid config, size limits or a file that cannot
+be read or written, 2 numeric or validation failure (including failed
+checks).
 """
 from __future__ import annotations
 
@@ -213,16 +214,18 @@ def write_transcript(path, tr):
         for step, state, logw, move in zip(tr.steps, tr.states,
                                            tr.log_weights, tr.moves):
             fh.write(json.dumps({
-                "step": step, "set": sorted(state), "logw": logw,
+                "step": step, "set": list(state), "logw": logw,
                 "move": "del" if move.kind == "delete" else move.kind,
                 "accepted": bool(move.accepted)}) + "\n")
 
 
 def cmd_sample(args, cfg, seed, out):
     ccfg = cfg.get("chain", {})
+    n_chains = _scalar(ccfg, "chain", "chains", int, 1)
+    if n_chains < 1:
+        raise ConfigError(f"chain.chains must be >= 1, got {n_chains}")
     measure = build_measure(cfg["measure"], seed)
     spec = build_chain_spec(ccfg, seed, measure.n)
-    n_chains = _scalar(ccfg, "chain", "chains", int, 1)
     for c in range(n_chains):
         tr = chains.run_chain(measure, spec, stream=c)
         write_transcript(out / f"chain_{c:02d}.jsonl", tr)
@@ -432,7 +435,7 @@ def main(argv=None):
             dpp.KernelValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
+    except (ConfigError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

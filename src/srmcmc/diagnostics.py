@@ -66,12 +66,14 @@ def extract_summary(transcripts, statistic):
 
 def check_statistic(statistic, n):
     """Raise ValueError unless ``statistic`` is a summary of an n-element
-    chain: "cardinality", "log_weight", or ("indicator", i) with 0 <= i < n."""
+    chain: "cardinality", "log_weight", or ("indicator", i) with 0 <= i < n;
+    booleans are not element indices here."""
     if statistic in ("cardinality", "log_weight"):
         return
     if (isinstance(statistic, tuple) and len(statistic) == 2
             and statistic[0] == "indicator"
             and isinstance(statistic[1], (int, np.integer))
+            and not isinstance(statistic[1], bool)
             and 0 <= statistic[1] < n):
         return
     raise ValueError(

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, inv as _inv
 
-from .measures import NEG_INF, MeasureOracle, SubsetState
+from .measures import NEG_INF, ChainState, MeasureOracle, SubsetState
 
 SYMMETRY_TOL = 1e-10
 EIG_TOL = 1e-8
@@ -110,7 +110,7 @@ class LEnsemble(MeasureOracle):
         self._check(S)
         return dpp_log_weight(self.L, S)
 
-    def chain_oracle(self, S: SubsetState) -> "_CachedDppOracle":
+    def chain_oracle(self, S: ChainState) -> "_CachedDppOracle":
         """A per-chain oracle backed by a fresh inverse cache of L_S."""
         return _CachedDppOracle(self, S)
 
@@ -369,7 +369,7 @@ class _CachedDppOracle(MeasureOracle):
     L_S numerically singular raises ``ArithmeticError`` there.
     """
 
-    def __init__(self, measure: LEnsemble, S: SubsetState):
+    def __init__(self, measure: LEnsemble, S: ChainState):
         self.n = measure.n
         self.cache = CholeskyCache(measure.L, S.members)
 

@@ -7,12 +7,11 @@ which share one default body and may be overridden by faster specializations.
 A chain keeps one :class:`ChainState`, a :class:`SubsetState` that also
 holds sorted lists of its members and of the other elements, so a proposal
 reads its j-th member or non-member in O(1), and an accepted move changes
-the state in place instead of copying it. A plain :class:`SubsetState` keeps
-value semantics: a move from it is a new state.
+the state in place instead of copying it.
 
 A chain runs on ``measure.chain_oracle(S)``, which answers those ratios for
-one chain and applies each accepted move (``move``), returning the next
-state. The default oracle is the measure itself; a measure that keeps
+one chain and applies each accepted move to the chain's state in place
+(``move``). The default oracle is the measure itself; a measure that keeps
 incremental per-chain state returns its own oracle, which updates that state
 in ``move`` (the L-ensemble's inverse cache in :mod:`srmcmc.dpp`). A
 cardinality-conditioned measure's per-chain oracle is the same conditioning
@@ -74,17 +73,6 @@ class SubsetState:
     def indices(self):
         return self.membership.nonzero()[0]
 
-    # A ChainState answers these two from its own sorted lists, in O(1).
-    @property
-    def members(self):
-        """The elements of the set, ascending, as a list of ints."""
-        return self.indices().tolist()
-
-    @property
-    def others(self):
-        """The elements outside the set, ascending, as a list of ints."""
-        return (~self.membership).nonzero()[0].tolist()
-
     def contains(self, i):
         return bool(self.membership[i])
 
@@ -117,22 +105,13 @@ class SubsetState:
         m[t] = True
         return SubsetState(m)
 
-    def moved(self, kind, s, t):
-        """The state after the move "add" t, "delete" s, or "swap" s for t:
-        a new state; this one is left as it is."""
-        if kind == "add":
-            return self.with_added(t)
-        if kind == "delete":
-            return self.with_deleted(s)
-        return self.with_swapped(s, t)
-
     def __eq__(self, other):
         return isinstance(other, SubsetState) and np.array_equal(
             self.membership, other.membership
         )
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.members}, n={self.n})"
+        return f"{type(self).__name__}({self.indices().tolist()}, n={self.n})"
 
 
 class ChainState(SubsetState):
@@ -190,15 +169,13 @@ class MeasureOracle:
     def log_weight(self, S: SubsetState) -> float:
         raise NotImplementedError
 
-    def chain_oracle(self, S: SubsetState) -> "MeasureOracle":
+    def chain_oracle(self, S: ChainState) -> "MeasureOracle":
         """The oracle one chain starting at S runs on; the measure itself."""
         return self
 
-    def move(self, S: SubsetState, kind, s, t) -> SubsetState:
-        """The state after an accepted move from S: "add" t, "delete" s, or
-        "swap" s for t (``S.moved``). A chain's :class:`ChainState` is
-        changed in place and returned; a plain :class:`SubsetState` is left
-        as it is and a new state returned."""
+    def move(self, S: ChainState, kind, s, t) -> ChainState:
+        """Apply an accepted move to the chain's state S in place and return
+        it: "add" t, "delete" s, or "swap" s for t (``S.moved``)."""
         return S.moved(kind, s, t)
 
     def singleton_log_weights(self) -> np.ndarray:
@@ -261,7 +238,8 @@ class ProductMeasure(MeasureOracle):
         return self._logq + rest
 
     def add_ratio(self, S, t):
-        """q_t / (1 - q_t); requires t not in S and pi(S) > 0, unchecked."""
+        """q_t / (1 - q_t). Raises ValueError if t is in S; pi(S) > 0 is
+        required but not checked."""
         if S.membership[t]:
             raise ValueError(f"element {t} already in set")
         qt = self.q[t]
@@ -270,7 +248,8 @@ class ProductMeasure(MeasureOracle):
         return qt / (1.0 - qt)
 
     def delete_ratio(self, S, s):
-        """(1 - q_s) / q_s; requires s in S and pi(S) > 0, unchecked."""
+        """(1 - q_s) / q_s. Raises ValueError if s is not in S; pi(S) > 0 is
+        required but not checked."""
         if not S.membership[s]:
             raise ValueError(f"element {s} not in set")
         qs = self.q[s]
@@ -303,7 +282,7 @@ class CardinalityConditionedMeasure(MeasureOracle):
             return NEG_INF
         return self.base.log_weight(S)
 
-    def chain_oracle(self, S: SubsetState) -> "CardinalityConditionedMeasure":
+    def chain_oracle(self, S: ChainState) -> "CardinalityConditionedMeasure":
         """The same conditioning of the base's per-chain oracle for S."""
         return CardinalityConditionedMeasure(self.base.chain_oracle(S), self.k)
 

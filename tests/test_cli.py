@@ -558,6 +558,13 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
      "nonempty ground set"),
     ("check", {"measure": {"kind": "table", "weights": [1]}},
      "nonempty ground set"),
+    ("sample", {"measure": PRODUCT_1, "chain": {"steps": 5, "chains": -2}},
+     "chain.chains"),
+    ("compare", {"measure": PRODUCT_3, "chain": {"steps": 5, "chains": 2},
+                 "compare": {"statistics": [["indicator", True]]}},
+     "statistic"),
+    ("exact", {"measure": {"kind": "dpp-L", "kernel_path": "."}},
+     "directory"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
         "bound-not-object", "steps-null", "chains-null", "init-set-int",
         "rbf-not-object", "statistics-int", "S0-int", "S0-bool", "S0-repeat",
@@ -568,7 +575,8 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
         "log-pi-bool", "q-bool", "q-string", "product-k-q-null",
         "weights-bool", "S0-outside", "S0-negative", "sample-init-set-outside",
         "compare-init-set-outside", "bound-init-set-outside",
-        "check-product-n0", "check-table-n0"])
+        "check-product-n0", "check-table-n0", "chains-negative",
+        "statistic-bool", "kernel-path-directory"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                                                     command, cfg, word):
     out = tmp_path / "o"

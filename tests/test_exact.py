@@ -15,7 +15,7 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
 from srmcmc import exact
 from srmcmc.chains import initial_state
 from srmcmc.exact import TransitionMatrix, restrict_distribution
-from srmcmc.measures import NEG_INF
+from srmcmc.measures import NEG_INF, ChainState
 
 from conftest import fixture_suite, random_psd_fixture, uniform_table
 
@@ -534,22 +534,21 @@ def test_steppers_match_exact_matrices(name, measure, kind,
     """Every proposal's width times its acceptance probability is the exact
     matrix entry for that move, along a walk through the chain oracle."""
     rng = chain_rng(2016)
-    S = initial_state(measure, ChainSpec(kind, steps=1,
-                                         init="random-positive"), rng)
+    S = ChainState(initial_state(measure, ChainSpec(
+        kind, steps=1, init="random-positive"), rng).membership)
     tm = transition_matrix(measure, kind, cardinality=S.cardinality)
     pos = {m: i for i, m in enumerate(tm.states)}
     oracle = measure.chain_oracle(S)
     proposals = 0
     for _ in range(3000):
-        nxt, out = STEPPERS[kind](oracle, S, rng)
+        m, k = S.bitmask(), S.cardinality
+        out = STEPPERS[kind](oracle, S, rng)[1]
         if out.kind != "hold":
             move, p, s, t = metropolis_calls[-1]
             assert move == out.kind
-            m = S.bitmask()
             m2 = m ^ sum(1 << e for e in (s, t) if e is not None)
             want = tm.P[pos[m], pos[m2]] if m2 in pos else 0.0
-            got = proposal_width(kind, move, measure.n, S.cardinality) * p
+            got = proposal_width(kind, move, measure.n, k) * p
             assert abs(got - want) <= 1e-12, (m, move, s, t)
             proposals += 1
-        S = nxt
     assert proposals == len(metropolis_calls) >= 500
