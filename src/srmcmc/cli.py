@@ -4,7 +4,8 @@ All commands take a JSON config (``--config``) and an output directory
 (``--out``). Each runs in one pass: :func:`main` reads the config and the
 seed (``--seed``, else ``chain.seed``, else 0), the command checks every input
 and then does its work, and the output directory is made at the first write,
-so a rejected config leaves nothing behind. Unknown config keys are rejected
+so a rejected config leaves nothing behind. An ``--out`` that is a file or
+lies under one is refused before any of that. Unknown config keys are rejected
 so that misspelled knobs cannot be silently ignored.
 
 Exit codes: 0 success, 1 invalid config, size limits or a file that cannot
@@ -427,10 +428,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        out = Path(args.out)
+        # Refuse an --out that could not be made, before any work.
+        near = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not near.is_dir():
+            raise NotADirectoryError(f"--out {out}: {near} is not a directory")
         cfg = load_config(args.config)
         seed = (args.seed if args.seed is not None
                 else _scalar(cfg.get("chain", {}), "chain", "seed", int, 0))
-        return args.fn(args, cfg, seed, Path(args.out))
+        return args.fn(args, cfg, seed, out)
     except (ArithmeticError, np.linalg.LinAlgError,
             dpp.KernelValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

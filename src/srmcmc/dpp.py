@@ -19,7 +19,8 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, inv as _inv
 
-from .measures import NEG_INF, ChainState, MeasureOracle, SubsetState
+from .measures import (NEG_INF, REBUILD_INTERVAL, ChainState,
+                       MeasureOracle, SubsetState)
 
 SYMMETRY_TOL = 1e-10
 EIG_TOL = 1e-8
@@ -207,7 +208,7 @@ class CholeskyCache:
     ``ArithmeticError``; the cache is not usable after that.
     """
 
-    REBUILD_INTERVAL = 512
+    REBUILD_INTERVAL = REBUILD_INTERVAL
     PIVOT_TOL = 1e-12
 
     def __init__(self, L, indices=()):
@@ -390,7 +391,7 @@ class _CachedDppOracle(MeasureOracle):
             self.cache.apply_add(t)
         elif kind == "delete":
             self.cache.apply_delete(s)
-        else:
+        elif kind == "swap":
             self.cache.apply_swap(s, t)
         return super().move(S, kind, s, t)
 

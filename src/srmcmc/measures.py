@@ -13,10 +13,12 @@ A chain runs on ``measure.chain_oracle(S)``, which answers those ratios for
 one chain and applies each accepted move to the chain's state in place
 (``move``). The default oracle is the measure itself; a measure that keeps
 incremental per-chain state returns its own oracle, which updates that state
-in ``move`` (the L-ensemble's inverse cache in :mod:`srmcmc.dpp`). A
-cardinality-conditioned measure's per-chain oracle is the same conditioning
-of its base's per-chain oracle, so a k-DPP reads its swap ratios and its
-recorded weights from that cache; adds and deletes leave the shell.
+in ``move``: a product's running log weight, or the L-ensemble's inverse
+cache in :mod:`srmcmc.dpp`, each recomputed every ``REBUILD_INTERVAL``
+accepted moves. A cardinality-conditioned measure's per-chain oracle is the
+same conditioning of its base's per-chain oracle, so a k-DPP reads its swap
+ratios and its recorded weights from that cache, and a conditioned product
+its weights from the running sum; adds and deletes leave the shell.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from bisect import bisect_left, insort
 import numpy as np
 
 NEG_INF = float("-inf")
+REBUILD_INTERVAL = 512
 
 
 def exp_ratio(log_diff):
@@ -135,8 +138,10 @@ class ChainState(SubsetState):
 
     def moved(self, kind, s, t):
         """Apply the move "add" t, "delete" s, or "swap" s for t to this
-        state and return it. An illegal move raises ``ValueError`` and
-        changes nothing."""
+        state and return it. An unknown kind or an illegal move raises
+        ``ValueError`` and changes nothing."""
+        if kind not in ("add", "delete", "swap"):
+            raise ValueError(f"unknown move kind {kind!r}")
         m = self.membership
         if kind != "add" and not m[s]:
             raise ValueError(f"element {s} not in set")
@@ -211,7 +216,9 @@ class MeasureOracle:
 
 
 class ProductMeasure(MeasureOracle):
-    """Independent inclusion probabilities: pi(S) = prod_{i in S} q_i prod_{j notin S} (1 - q_j)."""
+    """Independent inclusion probabilities: pi(S) = prod_{i in S} q_i prod_{j notin S} (1 - q_j).
+
+    A chain reads its log weights from its ``chain_oracle``'s running sum."""
 
     def __init__(self, q):
         q = np.asarray(q, dtype=float)
@@ -227,6 +234,11 @@ class ProductMeasure(MeasureOracle):
         self._check(S)
         m = S.membership
         return float(np.add.reduce(np.where(m, self._logq, self._log1mq)))
+
+    def chain_oracle(self, S: ChainState) -> "_RunningProductOracle":
+        """An oracle with the same ratios whose ``log_weight`` is a running
+        sum for the chain from S, not a sum of N terms per call."""
+        return _RunningProductOracle(self, S)
 
     def singleton_log_weights(self):
         """log pi({i}) = log q_i + sum_{j != i} log(1 - q_j), in O(N)."""
@@ -264,6 +276,33 @@ class ProductMeasure(MeasureOracle):
         if S.membership[t]:
             raise ValueError(f"element {t} already in set")
         return self.q[t] * (1.0 - self.q[s]) / (self.q[s] * (1.0 - self.q[t]))
+
+
+class _RunningProductOracle(ProductMeasure):
+    """A product's per-chain oracle: ``log_weight`` is the running log weight
+    of the chain's state, whatever state it is passed. ``move`` adds the
+    log-odds log q_t - log(1 - q_t) of an added t, subtracts those of a
+    deleted s, and sums the N terms again every ``REBUILD_INTERVAL`` moves."""
+
+    def __init__(self, measure: ProductMeasure, S: ChainState):
+        self.q, self.n = measure.q, measure.n
+        self._logq, self._log1mq = measure._logq, measure._log1mq
+        self._log_odds = (self._logq - self._log1mq).tolist()
+        self._lw = ProductMeasure.log_weight(self, S)
+
+    def log_weight(self, S):
+        return self._lw
+
+    def move(self, S, kind, s, t):
+        S.moved(kind, s, t)
+        if S.accepted_moves % REBUILD_INTERVAL == 0:
+            self._lw = ProductMeasure.log_weight(self, S)
+            return S
+        if kind != "delete":
+            self._lw += self._log_odds[t]
+        if kind != "add":
+            self._lw -= self._log_odds[s]
+        return S
 
 
 class CardinalityConditionedMeasure(MeasureOracle):

@@ -12,7 +12,8 @@ from srmcmc import (CardinalityConditionedMeasure, ChainSpec, LEnsemble,
 from srmcmc.chains import initial_state
 from srmcmc.dpp import (CholeskyCache, dpp_log_weight, rbf_kernel,
                         spectrum_step_kernel)
-from srmcmc.measures import NEG_INF, ChainState, MeasureOracle
+from srmcmc.measures import (NEG_INF, REBUILD_INTERVAL, ChainState,
+                             MeasureOracle)
 
 from conftest import product_fixture, random_psd_fixture, uniform_table
 
@@ -355,9 +356,9 @@ class TestRecording:
     def test_one_weight_per_state_object(self, monkeypatch, name, kind, thin,
                                          burn_in, steps):
         measure = RECORDED_MEASURES[name](12)
-        # The L-ensemble's and the k-DPP's weights come from the running
-        # cache.
-        rtol = 0.0 if name == "product" else 1e-9
+        # The product's weights are a running sum of log-odds, the
+        # L-ensemble's and the k-DPP's the running log det of the cache.
+        rtol = 1e-12 if name == "product" else 1e-9
         calls, states = self._spy(monkeypatch, measure)
         spec = ChainSpec(kind, steps=steps, burn_in=burn_in, thin=thin,
                          seed=7, init="random-positive")
@@ -381,24 +382,28 @@ class TestRecording:
                 assert state is tr.states[j - 1]
 
     def test_product_k_records_product_weights(self):
-        # A product's per-chain oracle is the product itself, so the
-        # conditioned chain records its weights to the bit.
+        # The conditioned oracle wraps the product's per-chain oracle, so the
+        # conditioned chain records the product's running log weights.
         base = product_fixture(8)
         m = CardinalityConditionedMeasure(base, 3)
         state = ChainState(S([1, 3, 6], 8).membership)
-        assert m.chain_oracle(state).base is base
+        oracle = m.chain_oracle(state)
+        assert type(oracle.base).__name__ == "_RunningProductOracle"
+        assert oracle.base.q is base.q
         tr = run_chain(m, ChainSpec("exchange", steps=2000, seed=5,
                                     init="random-positive"))
         assert len(set(tr.states)) > 20
-        assert tr.log_weights == [ProductMeasure.log_weight(base, S(s, 8))
-                                  for s in tr.states]
+        np.testing.assert_allclose(
+            tr.log_weights,
+            [ProductMeasure.log_weight(base, S(s, 8)) for s in tr.states],
+            rtol=1e-12, atol=0.0)
 
 
 class TestChainState:
     """A chain's one mutable state keeps its sorted member and non-member
     lists equal to the membership vector through every in-place move."""
 
-    ORACLE_TYPES = {"product": "ProductMeasure",
+    ORACLE_TYPES = {"product": "_RunningProductOracle",
                     "l-ensemble": "_CachedDppOracle",
                     "k-dpp": "CardinalityConditionedMeasure"}
 
@@ -448,7 +453,7 @@ class TestChainState:
 
     @pytest.mark.parametrize("kind, s, t", [
         ("add", None, 3), ("delete", 2, None), ("swap", 2, 4),
-        ("swap", 1, 3), ("swap", 2, 0),
+        ("swap", 1, 3), ("swap", 2, 0), ("hold", 3, 4),
     ])
     def test_illegal_move_raises_and_changes_nothing(self, kind, s, t):
         state = ChainState(S([1, 3, 6], 8).membership)
@@ -480,6 +485,21 @@ class TestChainState:
         assert oracle.move(state, kind, s, t) is state
         assert state.members == after
         self._check(state)
+
+    @pytest.mark.parametrize("name", list(RECORDED_MEASURES))
+    def test_oracle_refuses_unknown_move_kind(self, name):
+        measure = RECORDED_MEASURES[name](8)
+        state = ChainState(S([1, 3, 6], 8).membership)
+        oracle = measure.chain_oracle(state)
+        before = self._fields(state)[1:], oracle.log_weight(state)
+        with pytest.raises(ValueError, match="unknown move kind"):
+            oracle.move(state, "hold", 3, 4)
+        assert (self._fields(state)[1:], oracle.log_weight(state)) == before
+        # The oracle's own state is untouched too, so a legal move after
+        # the refused one still weighs the right set.
+        oracle.move(state, "swap", 3, 4)
+        assert oracle.log_weight(state) == pytest.approx(
+            measure.log_weight(S([1, 4, 6], 8)), rel=1e-9)
 
 
 class TestNoScanOrCopyInChainPath:
@@ -587,6 +607,52 @@ class TestHeaviestSingletonStart:
         with pytest.raises(ValueError, match="no singleton"):
             run_chain(LEnsemble(np.zeros((3, 3))),
                       ChainSpec("add-delete", steps=1, seed=0))
+
+
+class TestRunningProductWeight:
+    """A product chain records its weights from a running sum of log-odds,
+    summed exactly again every ``REBUILD_INTERVAL`` accepted moves."""
+
+    PRODUCT_Q = TestHeaviestSingletonStart.PRODUCT_Q
+
+    @pytest.mark.parametrize("name", list(PRODUCT_Q))
+    @pytest.mark.parametrize("kind", ["add-delete", "projection", "exchange"])
+    def test_weights_match_exact_sum(self, monkeypatch, name, kind):
+        q = self.PRODUCT_Q[name]
+        base = ProductMeasure(q)
+        # Start with every element of q = 1 and half of the free ones; the
+        # exchange chain runs on the product conditioned on that size.
+        free = np.flatnonzero((q > 0) & (q < 1))
+        start = sorted([*np.flatnonzero(q == 1), *free[:len(free) // 2]])
+        measure = (CardinalityConditionedMeasure(base, len(start))
+                   if kind == "exchange" else base)
+        exact, calls = ProductMeasure.log_weight, []
+
+        def counted(self, S):
+            calls.append(S)
+            return exact(self, S)
+
+        monkeypatch.setattr(ProductMeasure, "log_weight", counted)
+        make, chain = measure.chain_oracle, []
+
+        def chain_oracle(S):
+            # Count from here: the chain's start check weighs S as well.
+            calls.clear()
+            chain.append(S)
+            return make(S)
+
+        monkeypatch.setattr(measure, "chain_oracle", chain_oracle)
+        tr = run_chain(measure, ChainSpec(kind, steps=30_000, thin=5, seed=3,
+                                          init="explicit-set",
+                                          init_set=tuple(start)))
+        accepted = chain[0].accepted_moves
+        assert accepted > REBUILD_INTERVAL
+        assert 1 <= len(calls) <= 1 + accepted // REBUILD_INTERVAL
+        lw = np.array(tr.log_weights)
+        assert np.all(np.isfinite(lw))
+        np.testing.assert_allclose(
+            lw, [exact(base, S(s, base.n)) for s in tr.states],
+            rtol=1e-12, atol=0.0)
 
 
 # Fingerprints of transcripts recorded with the chain layer at commit

@@ -103,12 +103,14 @@ class TestSample:
         if measure["kind"] == "product-k":
             assert {len(rec["set"]) for rec in recs} == {2}
 
+    # Each pin is the sha256 of the records without "logw", then the sum
+    # and the position-weighted sum of the "logw" values: fig1b-like recorded
+    # at commit b03f4e6, the product rows at 901bff4.
     @pytest.mark.parametrize("cfg,pin", [
         ({"measure": {"kind": "product", "q": [0.3, 0.8, 0.5, 0.6]},
           "chain": {"kind": "add-delete", "steps": 300, "seed": 3}},
-         "4b741aa5edf24b78eb8af41abe5da851e56119fe5e35c4e8645d6779f2e752a6"),
-        # Recorded at commit b03f4e6: the records without "logw", then the
-        # sum and the position-weighted sum of the "logw" values.
+         ("cbd368ef6526686a77814dcdb833d274e33b958e19f06f434dbec28898f2b407",
+          -699.5632825552564, -109420.49513817945)),
         ({"measure": {"kind": "dpp-L", "preset": "fig1b-like"},
           "chain": {"kind": "projection", "steps": 600, "seed": 1,
                     "init": "random-positive"}},
@@ -118,22 +120,20 @@ class TestSample:
                       "k": 2},
           "chain": {"kind": "exchange", "steps": 300, "seed": 2,
                     "init": "random-positive"}},
-         "31bd1d00eda67fb48892b91db927798257cc8ef2150edd14d1c78a42c7806021"),
+         ("4ea622dce7d9ed5b2624642307feacb3d29c932b2f26b82c51d7ef122a418abf",
+          -951.5682572472507, -145952.28259499828)),
     ], ids=["product-add-delete", "fig1b-like-projection",
             "product-k-exchange"])
     def test_transcript_bytes_pinned(self, tmp_path, cfg, pin):
         # Fixed-seed output is part of the interface: a refactor of the
-        # chain path must leave these files byte-identical. A DPP's "logw"
-        # is the cache's running log det, whose last bits follow the
-        # cache's arithmetic; there every other field is pinned exactly
-        # and the weights as REPRO_FINGERPRINTS pins them.
+        # chain path must leave every field but "logw" byte-identical.
+        # "logw" is a running sum (a product's log-odds, a DPP cache's log
+        # det), whose last bits follow its arithmetic, so the weights are
+        # pinned as REPRO_FINGERPRINTS pins them.
         out = tmp_path / "out"
         assert main(["sample", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
         data = (out / "chain_00.jsonl").read_bytes()
-        if isinstance(pin, str):
-            assert hashlib.sha256(data).hexdigest() == pin
-            return
         digest, lw_sum, lw_weighted = pin
         recs = [json.loads(line) for line in data.decode().splitlines()]
         lw = np.array([rec.pop("logw") for rec in recs])
@@ -585,6 +585,22 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_exits_1_first(tmp_path, capsys,
+                                                      monkeypatch, under):
+    def fail(*args, **kwargs):
+        raise AssertionError("a chain ran before --out was checked")
+
+    monkeypatch.setattr(chains, "run_chain", fail)
+    existing = tmp_path / "taken"
+    existing.write_text("keep")
+    out = existing / "o" if under else existing
+    assert main(["sample", "--config", product_config(tmp_path),
+                 "--out", str(out)]) == 1
+    assert "is not a directory" in capsys.readouterr().err
+    assert existing.read_text() == "keep"
 
 
 def test_linalg_failure_exits_2(tmp_path, capsys, monkeypatch):
