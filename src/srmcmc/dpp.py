@@ -122,6 +122,7 @@ class LEnsemble(MeasureOracle):
             return np.where(d > 0.0, np.log(d), NEG_INF)
 
 
+@np.errstate(all="ignore")
 def _cholesky(a):
     """Lower Cholesky factor of the float matrix ``a``, or a NaN diagonal
     where LAPACK cannot factor it.
@@ -130,8 +131,7 @@ def _cholesky(a):
     the same to the bit; the wrapper's shape and type checks and its
     ``LinAlgError`` are left out.
     """
-    with np.errstate(all="ignore"):
-        return cholesky_lo(a, signature="d->d")
+    return cholesky_lo(a, signature="d->d")
 
 
 def _log_det(chol):
@@ -406,7 +406,9 @@ class SpectralSampler:
     an orthonormal basis of what is left of span V), element i is picked
     with probability d_i / sum(d), and conditioning on i subtracts the
     rank-1 term c c^T, c = (K[i] - C^T C[:, i]) / sqrt(d_i), where the rows
-    of C are the earlier terms. No basis is re-orthonormalized.
+    of C are the earlier terms. No basis is re-orthonormalized. A draw reads
+    its n inclusion uniforms and then its k pick uniforms as two blocks; for
+    PCG64 these are the doubles, and the end state, of n + k scalar reads.
     """
 
     def __init__(self, ensemble: LEnsemble):
@@ -420,25 +422,27 @@ class SpectralSampler:
         chosen = rng.random(self.n) < self.inclusion
         V = self.vecs[:, chosen]
         k = V.shape[1]
+        u = rng.random(k)
         K = V @ V.T
         d = K.diagonal().copy()
         C = np.empty((k, self.n))
-        picked = []
+        member = np.zeros(self.n, dtype=bool)
         for j in range(k):
-            total = d.sum()
-            if total <= 0.0:
+            cum = d.cumsum()
+            if cum[-1] <= 0.0:
                 raise ArithmeticError("spectral sampler: degenerate projection")
-            i = int(np.searchsorted(np.cumsum(d / total), rng.random()))
-            i = min(i, self.n - 1)
-            picked.append(i)
+            # u < 1, so u cum[-1] < cum[-1]; "right" skips spent elements.
+            i = int(cum.searchsorted(u[j] * cum[-1], "right"))
+            member[i] = True
             if j == k - 1:
                 break
-            c = (K[i] - C[:j, i] @ C[:j]) / math.sqrt(d[i])
-            C[j] = c
+            c = C[j]
+            np.subtract(K[i], C[:j, i] @ C[:j], out=c)
+            c /= math.sqrt(d[i])
             d -= c * c
             d[i] = 0.0
             np.maximum(d, 0.0, out=d)
-        return SubsetState.from_indices(picked, self.n)
+        return SubsetState(member)
 
 
 def rbf_kernel(points, bandwidth) -> LEnsemble:

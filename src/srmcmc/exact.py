@@ -56,11 +56,17 @@ def _log_weights(measure: MeasureOracle, n, shell=None):
     # Row m of the membership table holds the bits of m, one byte per bit.
     words = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
     table = np.unpackbits(words, axis=1, count=n, bitorder="little").view(bool)
+    # Each mask's cardinality, one byte per mask; a state is built from its
+    # row and that byte, without counting or checking the row again.
+    sizes = np.add.reduce(table, axis=1, dtype=np.uint8)
     masks = range(1 << n) if shell is None else \
-        np.flatnonzero(np.count_nonzero(table, axis=1) == shell).tolist()
+        np.flatnonzero(sizes == shell).tolist()
+    sizes = sizes.tobytes()
     lw = np.full(1 << n, NEG_INF)
     for mask in masks:
-        lw[mask] = measure.log_weight(SubsetState(table[mask]))
+        S = SubsetState.__new__(SubsetState)
+        S.membership, S.cardinality = table[mask], sizes[mask]
+        lw[mask] = measure.log_weight(S)
     return lw
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -343,6 +344,43 @@ class TestSpectralSampler:
         with pytest.raises(ArithmeticError, match="degenerate projection"):
             sampler.sample(rng)
 
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_pick_at_an_extreme_uniform_skips_spent_elements(self, u):
+        """Element 0 of diag(0, 1, 2) has residual 0 and can never be
+        picked, not even by a pick uniform of exactly 0.0, and the largest
+        uniform below 1 still picks inside the ground set."""
+        class PickStub:
+            def __init__(self):
+                self.calls = 0
+
+            def random(self, size=None):
+                # The first read is the inclusion block, the rest picks.
+                self.calls += 1
+                fill = 0.0 if self.calls == 1 else u
+                return fill if size is None else np.full(size, fill)
+
+        sampler = SpectralSampler(LEnsemble(np.diag([0.0, 1.0, 2.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw = sampler.sample(PickStub())
+        assert draw.indices().tolist() == [1, 2]
+
+    @pytest.mark.parametrize("name", ["psd-16", "rank-4-of-10"])
+    def test_draw_size_and_rng_reads(self, name):
+        """Each draw holds one distinct element per kept eigenvector, and
+        reads the generator as n + k scalar ``random()`` calls would."""
+        sampler = SpectralSampler(SPECTRAL_DIGESTS[name][0]())
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            twin = copy.deepcopy(rng)
+            k = int(np.count_nonzero(twin.random(sampler.n)
+                                     < sampler.inclusion))
+            draw = sampler.sample(rng)
+            assert draw.cardinality == k
+            for _ in range(k):
+                twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
 
 def rank_deficient_fixture():
     X = np.random.default_rng(77).standard_normal((10, 4))
@@ -439,6 +477,26 @@ def test_log_weight_bits_match_numpy_cholesky(name, singular_add_kernel):
     assert got == want
     # The two singular kernels reach LAPACK's failure path.
     assert ("-inf" in got) == (name != "psd-10")
+
+
+def test_cholesky_failure_is_silent_and_leaves_error_state():
+    """A matrix that is not positive definite gives the NaN factor with no
+    warning, even inside a caller's ``errstate(invalid="raise")``, and the
+    caller's error state is left as it was."""
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    singular = np.ones((2, 2))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(dpp._cholesky(indefinite).diagonal()).all()
+        assert np.geterr() == before
+        with np.errstate(invalid="raise"):
+            inside = np.geterr()
+            assert np.isnan(dpp._cholesky(indefinite).diagonal()).all()
+            assert np.geterr() == inside
+            assert dpp_log_weight(singular, SubsetState([True, True])) \
+                == NEG_INF
+    assert np.geterr() == before
 
 
 def test_cache_rebuild_factor_is_numpy_cholesky(monkeypatch, singular_add_kernel):
