@@ -57,6 +57,9 @@ class ChainSpec:
             raise ValueError("steps must be >= 0")
         if self.burn_in < 0 or self.thin < 1:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
+        if 0 < self.steps < self.thin:
+            raise ValueError(f"steps {self.steps} below thin {self.thin}: "
+                             "no draw would be retained")
         if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
         if (self.init == "explicit-set") != (self.init_set is not None):
@@ -289,5 +292,8 @@ def theorem_bound(n, s0_cardinality, log_pi_s0, eps):
         raise ValueError("eps must be in (0, 1]")
     if not math.isfinite(log_pi_s0):
         raise ValueError("start set must have positive probability")
+    if log_pi_s0 > 0.0:
+        raise ValueError(f"log pi(S0) = {log_pi_s0} is above 0: not the log "
+                         "of a probability")
     return 2.0 * n * n * (log_binomial(n, s0_cardinality) - log_pi_s0
                           + math.log(1.0 / eps))

@@ -25,14 +25,15 @@ import numpy as np
 
 from . import chains, diagnostics, dpp, exact, measures
 
-MEASURE_KINDS = ("dpp-L", "dpp-K", "product", "product-k", "table")
-MEASURE_KEYS = {
-    "kind", "kernel_path", "rbf", "spectrum_step", "preset", "q", "k",
-    "weights",
-}
+DPP_KEYS = {"kind", "kernel_path", "rbf", "spectrum_step", "preset"}
+MEASURE_KEYS = {"dpp-L": DPP_KEYS, "dpp-K": DPP_KEYS,
+                "product": {"kind", "q"}, "product-k": {"kind", "q", "k"},
+                "table": {"kind", "weights"}}
+MEASURE_KINDS = tuple(MEASURE_KEYS)
 CHAIN_KEYS = {"kind", "steps", "burn_in", "thin", "chains", "seed", "init",
               "init_set"}
-SECTION_KEYS = {"measure": MEASURE_KEYS, "chain": CHAIN_KEYS,
+SECTION_KEYS = {"measure": set().union(*MEASURE_KEYS.values()),
+                "chain": CHAIN_KEYS,
                 "bound": {"S0", "eps", "log_pi_S0"},
                 "compare": {"threshold", "stride", "statistics"}}
 
@@ -49,8 +50,8 @@ def _require_keys(obj, allowed, context):
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def load_kernel_csv(path):
-    """Read an N x N kernel from headerless CSV with per-cell diagnostics."""
+def _read_csv(path, what):
+    """Read a matrix from headerless CSV with per-cell diagnostics."""
     rows = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -69,16 +70,20 @@ def load_kernel_csv(path):
                 vals.append(v)
             rows.append(vals)
     if not rows:
-        raise ConfigError(f"{path}: empty kernel file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1 or widths.pop() != len(rows):
-        raise ConfigError(f"{path}: kernel must be square")
-    M = np.array(rows)
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > dpp.SYMMETRY_TOL:
-        i, j = np.unravel_index(np.argmax(np.abs(M - M.T)), M.shape)
-        raise ConfigError(
-            f"{path}: asymmetric at row {i + 1}, col {j + 1} (|diff|={asym:.3e})")
+        raise ConfigError(f"{path}: empty {what} file")
+    if len({len(r) for r in rows}) != 1:
+        raise ConfigError(f"{path}: {what} rows differ in length")
+    return np.array(rows)
+
+
+def load_kernel_csv(path):
+    """Read an N x N kernel from headerless CSV; it must pass the kernel
+    layer's square and symmetry checks."""
+    M = _read_csv(path, "kernel")
+    try:
+        dpp._check_symmetric(M, "kernel")
+    except dpp.KernelValidationError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return M
 
 
@@ -97,9 +102,9 @@ def build_measure(mcfg, seed):
     kind = mcfg.get("kind")
     if kind not in MEASURE_KINDS:
         raise ConfigError(f"measure.kind must be one of {MEASURE_KINDS}")
+    _require_keys(mcfg, MEASURE_KEYS[kind], f"{kind} measure")
     if kind in ("dpp-L", "dpp-K"):
-        sources = [key for key in ("kernel_path", "rbf", "spectrum_step",
-                                   "preset") if key in mcfg]
+        sources = [key for key in mcfg if key != "kind"]
         if len(sources) != 1:
             raise ConfigError(
                 "dpp measures need exactly one of kernel_path / rbf / "
@@ -118,7 +123,7 @@ def build_measure(mcfg, seed):
             r = mcfg["rbf"]
             _require_keys(r, {"points_path", "bandwidth"}, "rbf")
             bandwidth = _scalar(r, "rbf", "bandwidth", float)
-            pts = np.loadtxt(r["points_path"], delimiter=",", ndmin=2)
+            pts = _read_csv(r["points_path"], "points")
             return dpp.rbf_kernel(pts, bandwidth)
         s = mcfg["spectrum_step"]
         _require_keys(s, {"N", "k", "hi", "lo", "seed"}, "spectrum_step")
@@ -380,6 +385,9 @@ def cmd_compare(args, cfg, seed, out):
     measure = build_measure(cfg["measure"], seed)
     specs = [build_chain_spec(ccfg, seed, measure.n, kind)
              for kind in ("add-delete", "projection")]
+    if specs[0].steps < 2 * specs[0].thin:
+        raise ConfigError("compare needs chain.steps >= 2 * chain.thin, so "
+                          "that each chain keeps at least 2 draws for PSRF")
     for stat in stats:
         diagnostics.check_statistic(stat, measure.n)
 

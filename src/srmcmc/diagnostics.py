@@ -55,13 +55,23 @@ def extract_summary(transcripts, statistic):
     lengths = {len(t) for t in transcripts}
     if len(lengths) != 1:
         raise ValueError(f"transcripts have unequal lengths: {sorted(lengths)}")
-    check_statistic(statistic, transcripts[0].n)
+    check_statistic(statistic, _ground_set_size(transcripts))
     if statistic == "cardinality":
         return np.vstack([t.cardinalities() for t in transcripts])
     if statistic == "log_weight":
         return np.vstack([np.asarray(t.log_weights, dtype=float)
                           for t in transcripts])
     return np.vstack([t.indicator(statistic[1]) for t in transcripts])
+
+
+def _ground_set_size(transcripts):
+    """The one ground-set size n of the transcripts; ValueError if they
+    differ."""
+    sizes = {t.n for t in transcripts}
+    if len(sizes) != 1:
+        raise ValueError(f"transcripts have different ground-set sizes: "
+                         f"{sorted(sizes)}")
+    return sizes.pop()
 
 
 def check_statistic(statistic, n):
@@ -150,7 +160,7 @@ def empirical_marginals(transcripts):
     """
     if not transcripts:
         raise ValueError("need at least one transcript")
-    n = transcripts[0].n
+    n = _ground_set_size(transcripts)
     counts = np.zeros(n)
     # Chunks bound the temporaries; holds and rejections repeat a tuple object.
     chunks = (t.states[a:a + MARGINAL_CHUNK] for t in transcripts

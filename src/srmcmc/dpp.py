@@ -19,8 +19,8 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, inv as _inv
 
-from .measures import (NEG_INF, REBUILD_INTERVAL, ChainState,
-                       MeasureOracle, SubsetState)
+from . import measures
+from .measures import NEG_INF, ChainState, MeasureOracle, SubsetState
 
 SYMMETRY_TOL = 1e-10
 EIG_TOL = 1e-8
@@ -31,7 +31,8 @@ class KernelValidationError(ValueError):
     pass
 
 
-def _check_symmetric(M, tol, name):
+def _check_symmetric(M, name):
+    """0.5 (M + M^T); a refusal names the worst entry of |M - M^T|, 1-based."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise KernelValidationError(f"{name} must be a square matrix")
@@ -41,8 +42,10 @@ def _check_symmetric(M, tol, name):
     asym = float(np.max(np.abs(buf, out=buf))) if M.size else 0.0
     if not math.isfinite(asym):
         raise KernelValidationError(f"{name} has a NaN or infinite entry")
-    if asym > tol:
-        raise KernelValidationError(f"{name} asymmetric: max |M - M^T| = {asym:.3e}")
+    if asym > SYMMETRY_TOL:
+        i, j = divmod(int(np.argmax(buf)), M.shape[0])
+        raise KernelValidationError(f"{name} asymmetric at row {i + 1}, col "
+                                    f"{j + 1} (|diff|={asym:.3e})")
     np.add(M, M.T, out=buf)
     buf *= 0.5
     return buf
@@ -55,15 +58,11 @@ def _factors(A, shift):
     A computed factor is the exact one of A + shift I + E with ||E|| of
     order n u ||A|| (u the unit roundoff), so it exists only if the smallest
     eigenvalue of A is above -shift - ||E||; a failure says nothing about
-    how far below it lies. It calls ``np.linalg.cholesky``, not
-    ``_cholesky``, whose calls stand for cache rebuilds.
+    how far below it lies. A failure is read from the NaN diagonal of
+    ``_cholesky``, as ``_log_det`` reads it.
     """
     A.flat[::A.shape[0] + 1] += shift
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return not math.isnan(np.add.reduce(_cholesky(A).diagonal()))
 
 
 def _check_marginal_spectrum(lo, hi):
@@ -80,7 +79,7 @@ def validate_marginal_kernel(K):
     and K is refused iff its spectrum reaches below -EIG_TOL or above
     1 + EIG_TOL.
     """
-    K = _check_symmetric(K, SYMMETRY_TOL, "marginal kernel")
+    K = _check_symmetric(K, "marginal kernel")
     half = 0.5 * EIG_TOL
     if K.size and not (_factors(K.copy(), half) and _factors(-K, 1.0 + half)):
         lo, hi = np.linalg.eigvalsh(K)[[0, -1]]
@@ -97,7 +96,7 @@ class LEnsemble(MeasureOracle):
     """
 
     def __init__(self, L):
-        L = _check_symmetric(L, SYMMETRY_TOL, "L-ensemble kernel")
+        L = _check_symmetric(L, "L-ensemble kernel")
         if L.size and not _factors(L.copy(), 0.5 * EIG_TOL):
             lo = float(np.linalg.eigvalsh(L)[0])
             if lo < -EIG_TOL:
@@ -127,9 +126,9 @@ def _cholesky(a):
     """Lower Cholesky factor of the float matrix ``a``, or a NaN diagonal
     where LAPACK cannot factor it.
 
-    This is the gufunc that ``np.linalg.cholesky`` calls, so the factor is
-    the same to the bit; the wrapper's shape and type checks and its
-    ``LinAlgError`` are left out.
+    This is the gufunc behind numpy's ``linalg.cholesky``, so the factor
+    and the verdict are the same to the bit; the wrapper's shape and type
+    checks and its ``LinAlgError`` are left out.
     """
     return cholesky_lo(a, signature="d->d")
 
@@ -157,7 +156,7 @@ def marginal_to_l(K) -> LEnsemble:
     K's spectrum is checked against [0, 1] as ``validate_marginal_kernel``
     checks it, on the eigenvalues of the one ``eigh`` the conversion needs.
     """
-    K = _check_symmetric(K, SYMMETRY_TOL, "marginal kernel")
+    K = _check_symmetric(K, "marginal kernel")
     evals, vecs = np.linalg.eigh(K)
     if evals.size:
         _check_marginal_spectrum(evals[0], evals[-1])
@@ -174,12 +173,11 @@ def marginal_to_l(K) -> LEnsemble:
 def l_to_marginal(ensemble: LEnsemble) -> np.ndarray:
     """K = L(I+L)^{-1}; diagonal entries are the singleton inclusion probabilities.
 
-    K is not validated again: its spectrum lam / (1 + lam) lies in [0, 1) by
-    construction, and it is symmetrized here.
+    K is read from :class:`SpectralSampler`'s spectrum lam / (1 + lam), in
+    [0, 1) by construction, so it is not validated again; it is symmetrized.
     """
-    evals, vecs = np.linalg.eigh(ensemble.L)
-    lam = np.clip(evals, 0.0, None)
-    K = (vecs * (lam / (1.0 + lam))) @ vecs.T
+    spectrum = SpectralSampler(ensemble)
+    K = (spectrum.vecs * spectrum.inclusion) @ spectrum.vecs.T
     return 0.5 * (K + K.T)
 
 
@@ -202,13 +200,12 @@ class CholeskyCache:
     or a swap reuses the w of the ratio just read for the same move.
 
     A Cholesky factor of L_S is formed only at a rebuild: every
-    ``REBUILD_INTERVAL`` accepted moves, or when an add pivot, a deleted
-    inv[p, p], or a swap's kp or pivot' falls below ``PIVOT_TOL``. A rebuild
-    that finds L_S numerically singular sets ``flagged`` and raises
+    ``measures.REBUILD_INTERVAL`` accepted moves, or when an add pivot, a
+    deleted inv[p, p], or a swap's kp or pivot' falls below ``PIVOT_TOL``. A
+    rebuild that finds L_S numerically singular sets ``flagged`` and raises
     ``ArithmeticError``; the cache is not usable after that.
     """
 
-    REBUILD_INTERVAL = REBUILD_INTERVAL
     PIVOT_TOL = 1e-12
 
     def __init__(self, L, indices=()):
@@ -357,7 +354,7 @@ class CholeskyCache:
 
     def _bump(self):
         self._accepted += 1
-        if self._accepted >= self.REBUILD_INTERVAL:
+        if self._accepted >= measures.REBUILD_INTERVAL:
             self._rebuild()
 
 
@@ -450,8 +447,8 @@ def rbf_kernel(points, bandwidth) -> LEnsemble:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be an M x d matrix")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     sq = np.sum(points * points, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
     np.maximum(d2, 0.0, out=d2)
@@ -464,8 +461,9 @@ def spectrum_step_kernel(n, k, hi, lo, rng) -> LEnsemble:
     """Kernel with a two-level spectrum: k eigenvalues at hi, n-k at lo."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    if hi <= 0 or lo <= 0:
-        raise ValueError("hi and lo must be positive")
+    if not (0 < hi < math.inf and 0 < lo < math.inf):
+        raise ValueError(f"hi and lo must be positive and finite, got "
+                         f"hi={hi}, lo={lo}")
     G = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
     Q = Q * np.sign(np.diag(R))

@@ -184,6 +184,17 @@ class TestRunChain:
         assert len(tr) == 10
         assert tr.steps == list(range(10, 101, 10))
 
+    @pytest.mark.parametrize("steps, thin", [(5, 10), (1, 2)])
+    def test_spec_refuses_steps_below_thin(self, steps, thin):
+        with pytest.raises(ValueError, match="no draw would be retained"):
+            ChainSpec("projection", steps=steps, thin=thin)
+
+    def test_spec_keeps_steps_0_and_steps_equal_to_thin(self):
+        m = ProductMeasure([0.5] * 3)
+        for steps, records in ((0, 1), (10, 1), (25, 2)):
+            assert len(run_chain(m, ChainSpec("projection", steps=steps,
+                                              thin=10))) == records
+
     def test_init_errors(self):
         m = CardinalityConditionedMeasure(ProductMeasure([0.5] * 4), 2)
         with pytest.raises(ValueError):
@@ -272,7 +283,7 @@ class TestCachedDppPath:
                        ChainSpec(kind, steps=10_000, seed=5,
                                  init="random-positive"))
         swaps = sum(o == chains.ACCEPTED["swap"] for o in tr.moves)
-        assert swaps > CholeskyCache.REBUILD_INTERVAL
+        assert swaps > REBUILD_INTERVAL
         for state, lw in zip(tr.states, tr.log_weights):
             ref = dpp_log_weight(m.L, S(state, m.n))
             assert lw == pytest.approx(ref, rel=1e-9, abs=0.0)
@@ -785,3 +796,7 @@ class TestBounds:
             theorem_bound(4, 2, float("-inf"), 0.05)
         with pytest.raises(ValueError):
             theorem_bound(4, 2, -1.0, 0.0)
+
+    def test_theorem_bound_refuses_a_log_probability_above_0(self):
+        with pytest.raises(ValueError, match="above 0"):
+            theorem_bound(3, 1, 3.0, 0.05)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import srmcmc
-from srmcmc import ProductMeasure, chains, exact
+from srmcmc import ProductMeasure, chains, dpp, exact
 from srmcmc.cli import ConfigError, main, load_kernel_csv
 
 
@@ -565,6 +565,23 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
      "statistic"),
     ("exact", {"measure": {"kind": "dpp-L", "kernel_path": "."}},
      "directory"),
+    ("sample", {"measure": PRODUCT_1, "chain": {"steps": 5, "thin": 10}},
+     "below thin"),
+    ("compare", {"measure": PRODUCT_1,
+                 "chain": {"steps": 15, "thin": 10, "chains": 2}},
+     "at least 2 draws"),
+    ("bound", {"measure": PRODUCT_3,
+               "bound": {"S0": [0], "log_pi_S0": 3.0}}, "above 0"),
+    ("sample", {"measure": {**PRODUCT_2, "k": 1}, "chain": {"steps": 5}},
+     "unknown product measure keys: ['k']"),
+    ("sample", {"measure": {"kind": "dpp-L", "spectrum_step": STEP_4, "k": 3},
+                "chain": {"steps": 5}}, "unknown dpp-L measure keys: ['k']"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "hi": math.inf}}},
+     "hi and lo must be positive and finite"),
+    ("exact", {"measure": {"kind": "dpp-L",
+                           "spectrum_step": {**STEP_4, "lo": math.nan}}},
+     "hi and lo must be positive and finite"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
         "bound-not-object", "steps-null", "chains-null", "init-set-int",
         "rbf-not-object", "statistics-int", "S0-int", "S0-bool", "S0-repeat",
@@ -576,7 +593,9 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
         "weights-bool", "S0-outside", "S0-negative", "sample-init-set-outside",
         "compare-init-set-outside", "bound-init-set-outside",
         "check-product-n0", "check-table-n0", "chains-negative",
-        "statistic-bool", "kernel-path-directory"])
+        "statistic-bool", "kernel-path-directory", "sample-steps-below-thin",
+        "compare-one-draw", "log-pi-above-0", "product-with-k",
+        "dpp-L-with-k", "spectrum-hi-inf", "spectrum-lo-nan"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                                                     command, cfg, word):
     out = tmp_path / "o"
@@ -585,6 +604,39 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and word in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points,bandwidth,word", [
+    ("0.1,0.2\n0.3,0.4\n", math.nan, "bandwidth must be positive and finite"),
+    ("0.1,0.2\n0.3,0.4\n", math.inf, "bandwidth must be positive and finite"),
+    ("0.1,0.2\n0.3,nan\n", 0.5, "p.csv:2:2: non-finite entry nan"),
+    ("0.1,0.2\nabc,0.4\n", 0.5, "p.csv:2:1: not a number: 'abc'"),
+    ("0.1,0.2\n0.3\n", 0.5, "p.csv: points rows differ in length"),
+], ids=["bandwidth-nan", "bandwidth-inf", "cell-nan", "cell-abc", "ragged"])
+def test_rbf_intake_rejected_exits_1(tmp_path, capsys, points, bandwidth,
+                                     word):
+    (tmp_path / "p.csv").write_text(points)
+    cfg = write_config(tmp_path, {"measure": {"kind": "dpp-L", "rbf": {
+        "points_path": str(tmp_path / "p.csv"), "bandwidth": bandwidth}}})
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err
+    assert not out.exists()
+
+
+def test_points_csv_reads_as_the_loader_reads_kernels(tmp_path):
+    pts = np.random.default_rng(3).random((5, 2))
+    path = tmp_path / "p.csv"
+    write_kernel_csv(path, pts)
+    cfg = write_config(tmp_path, {
+        "measure": {"kind": "dpp-L", "rbf": {"points_path": str(path),
+                                             "bandwidth": 0.5}}})
+    out = tmp_path / "o"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "exact_report.json").read_text())
+    want = srmcmc.l_to_marginal(srmcmc.rbf_kernel(pts, 0.5)).diagonal()
+    assert report["marginals"] == pytest.approx(want.tolist(), rel=1e-9)
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
@@ -608,13 +660,13 @@ def test_linalg_failure_exits_2(tmp_path, capsys, monkeypatch):
     # failure, not a config problem. A valid kernel's Cholesky factor spares
     # it the eigensolve, so the factor fails too and validation falls back
     # to eigvalsh.
-    def not_factored(*args, **kwargs):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    def not_factored(a):
+        return np.full_like(a, np.nan)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "cholesky", not_factored)
+    monkeypatch.setattr(dpp, "_cholesky", not_factored)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     cfg = write_config(tmp_path, {"measure": {"kind": "dpp-L",
                                               "spectrum_step": STEP_4}})

@@ -100,6 +100,14 @@ class TestExtractSummary:
         with pytest.raises(ValueError):
             extract_summary([t1, t1], "entropy")
 
+    @pytest.mark.parametrize("statistic", ["cardinality", "log_weight",
+                                           ("indicator", 0)])
+    def test_mixed_ground_sets_rejected(self, statistic):
+        t5 = constant_transcript(5, (0, 4), 4)
+        t3 = constant_transcript(3, (1,), 4)
+        with pytest.raises(ValueError, match=r"ground-set sizes: \[3, 5\]"):
+            extract_summary([t5, t3], statistic)
+
     @pytest.mark.parametrize("i", [3, 99, -1])
     def test_indicator_outside_ground_set_rejected(self, i):
         t = constant_transcript(3, (0,), 4)
@@ -212,6 +220,13 @@ class TestEmpiricalMarginals:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             empirical_marginals([])
+
+    def test_mixed_ground_sets_rejected(self):
+        t5 = constant_transcript(5, (0, 4), 4)
+        t3 = constant_transcript(3, (1,), 4)
+        for trs in ([t5, t3], [t3, t5]):
+            with pytest.raises(ValueError, match=r"ground-set sizes: \[3, 5\]"):
+                empirical_marginals(trs)
 
     def test_matches_a_count_of_every_element(self):
         # Runs of one tuple object are counted once with their length as the

@@ -12,7 +12,7 @@ from srmcmc import (CholeskyCache, KernelValidationError, LEnsemble,
                     enumerate_distribution, l_to_marginal, marginal_to_l,
                     rbf_kernel, spectrum_step_kernel,
                     validate_marginal_kernel)
-from srmcmc import dpp
+from srmcmc import dpp, measures
 from srmcmc.dpp import EIG_TOL
 from srmcmc.measures import NEG_INF
 
@@ -36,6 +36,13 @@ class TestKernelValidation:
         M = np.array([[0.5, 0.1], [0.3, 0.5]])
         with pytest.raises(KernelValidationError, match="asymmetric"):
             validate_marginal_kernel(M)
+
+    def test_asymmetry_refusal_names_the_worst_entry(self):
+        M = np.array([[0.5, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, 0.5, 0.5]])
+        with pytest.raises(KernelValidationError) as exc:
+            LEnsemble(M)
+        assert str(exc.value) == ("L-ensemble kernel asymmetric at row 2, "
+                                  "col 3 (|diff|=3.000e-01)")
 
     def test_l_ensemble_rejects_negative(self):
         with pytest.raises(KernelValidationError):
@@ -237,7 +244,7 @@ class TestFusedSwap:
     def test_long_walk_drift(self, monkeypatch):
         # Criterion 7's drift bound, over accepted swaps only. No periodic
         # rebuild resets the drift: all 10^4 swaps are updates.
-        monkeypatch.setattr(CholeskyCache, "REBUILD_INTERVAL", 10**9)
+        monkeypatch.setattr(measures, "REBUILD_INTERVAL", 10**9)
         n = 40
         L = random_psd_fixture(n).L
         cache, members = swap_walk(L, n // 2, 10_000, seed=9)
@@ -502,6 +509,7 @@ def test_cholesky_failure_is_silent_and_leaves_error_state():
 def test_cache_rebuild_factor_is_numpy_cholesky(monkeypatch, singular_add_kernel):
     """The factor a rebuild forms equals ``np.linalg.cholesky``'s bit for
     bit, in the cache's own order; a singular L_S raises without a warning."""
+    L = random_psd_fixture(10).L
     factors = []
     original = dpp._cholesky
 
@@ -511,7 +519,6 @@ def test_cache_rebuild_factor_is_numpy_cholesky(monkeypatch, singular_add_kernel
         return chol
 
     monkeypatch.setattr(dpp, "_cholesky", recorded)
-    L = random_psd_fixture(10).L
     rng = np.random.default_rng(5)
     for size in range(1, 11):
         CholeskyCache(L, rng.permutation(10)[:size])
@@ -535,6 +542,19 @@ class TestKernelSynthesis:
             rbf_kernel(np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
             rbf_kernel(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf])
+    def test_rbf_rejects_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive "
+                                             "and finite"):
+            rbf_kernel(np.zeros((2, 2)), bandwidth)
+
+    @pytest.mark.parametrize("hi, lo", [(math.inf, 1.0), (5.0, math.nan),
+                                        (math.nan, math.inf)])
+    def test_spectrum_step_rejects_non_finite_levels(self, rng, hi, lo):
+        with pytest.raises(ValueError, match="hi and lo must be positive "
+                                             "and finite"):
+            spectrum_step_kernel(4, 2, hi, lo, rng)
 
     def test_spectrum_step_paper_configuration(self, rng):
         m = spectrum_step_kernel(200, 100, 500.0, 1.0 / 500.0, rng)
