@@ -50,6 +50,14 @@ def _require_keys(obj, allowed, context):
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _required(cfg, key, prefix=""):
+    """``cfg[key]``; a missing key is a ConfigError naming ``prefix`` + key,
+    such as ``measure.q``."""
+    if key not in cfg:
+        raise ConfigError(f"{prefix}{key} is required")
+    return cfg[key]
+
+
 def _read_csv(path, what):
     """Read a matrix from headerless CSV with per-cell diagnostics."""
     rows = []
@@ -123,7 +131,7 @@ def build_measure(mcfg, seed):
             r = mcfg["rbf"]
             _require_keys(r, {"points_path", "bandwidth"}, "rbf")
             bandwidth = _scalar(r, "rbf", "bandwidth", float)
-            pts = _read_csv(r["points_path"], "points")
+            pts = _read_csv(_required(r, "points_path", "rbf."), "points")
             return dpp.rbf_kernel(pts, bandwidth)
         s = mcfg["spectrum_step"]
         _require_keys(s, {"N", "k", "hi", "lo", "seed"}, "spectrum_step")
@@ -144,16 +152,18 @@ def build_measure(mcfg, seed):
 
 def _numbers(mcfg, key):
     """``measure.<key>``; it must be a list of JSON numbers, not bools."""
-    value = mcfg[key]
+    value = _required(mcfg, key, "measure.")
     if type(value) is not list or {type(v) for v in value} - {int, float}:
         raise ConfigError(f"measure.{key} must be a list of numbers")
     return value
 
 
 def _scalar(cfg, section, key, kind=int, default=None):
-    """``<section>.<key>`` (``default`` when absent) as ``kind``: int takes
-    only a JSON integer, float any JSON number, and neither takes a bool."""
-    value = cfg.get(key, default)
+    """``<section>.<key>`` (``default`` when absent; required without one)
+    as ``kind``: int takes only a JSON integer, float any JSON number, and
+    neither takes a bool."""
+    value = (cfg.get(key, default) if default is not None
+             else _required(cfg, key, f"{section}."))
     if type(value) not in ((int,) if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
@@ -230,7 +240,7 @@ def cmd_sample(args, cfg, seed, out):
     n_chains = _scalar(ccfg, "chain", "chains", int, 1)
     if n_chains < 1:
         raise ConfigError(f"chain.chains must be >= 1, got {n_chains}")
-    measure = build_measure(cfg["measure"], seed)
+    measure = build_measure(_required(cfg, "measure"), seed)
     spec = build_chain_spec(ccfg, seed, measure.n)
     for c in range(n_chains):
         tr = chains.run_chain(measure, spec, stream=c)
@@ -239,7 +249,7 @@ def cmd_sample(args, cfg, seed, out):
 
 
 def cmd_exact(args, cfg, seed, out):
-    measure = build_measure(cfg["measure"], seed)
+    measure = build_measure(_required(cfg, "measure"), seed)
     dist = exact.enumerate_distribution(measure)
     report = {"n": measure.n,
               "marginals": exact.exact_marginals(dist).tolist()}
@@ -308,7 +318,7 @@ def cmd_check(args, cfg, seed, out):
                 lum = exact.lumped_exchange_matrix(measure)
                 diff = float(np.max(np.abs(lum.P - tm_corr.P)))
                 entry["lumping_max_diff"] = diff
-                entry["lumping_ok"] = diff <= 1e-12
+                entry["lumping_ok"] = diff <= exact.LUMP_TOL
             except ArithmeticError as e:
                 entry["lumping_ok"] = False
                 entry["lumping_error"] = str(e)
@@ -333,7 +343,7 @@ def cmd_bound(args, cfg, seed, out):
     if not _is_eps(eps):
         raise ConfigError(f"eps must be one number in (0, 1], got {eps!r}")
     eps = float(eps)
-    measure = build_measure(cfg["measure"], seed)
+    measure = build_measure(_required(cfg, "measure"), seed)
     n = measure.n
     s0 = _elements(bcfg, "bound", "S0", n) if "S0" in bcfg else None
     if s0 is None:
@@ -382,12 +392,16 @@ def cmd_compare(args, cfg, seed, out):
     if type(stats) is not list or not stats:
         raise ConfigError("compare.statistics must be a nonempty list")
     stats = [tuple(s) if isinstance(s, list) else s for s in stats]
-    measure = build_measure(cfg["measure"], seed)
+    measure = build_measure(_required(cfg, "measure"), seed)
     specs = [build_chain_spec(ccfg, seed, measure.n, kind)
              for kind in ("add-delete", "projection")]
-    if specs[0].steps < 2 * specs[0].thin:
+    draws = specs[0].steps // specs[0].thin
+    if draws < 2:
         raise ConfigError("compare needs chain.steps >= 2 * chain.thin, so "
                           "that each chain keeps at least 2 draws for PSRF")
+    if stride is not None and stride > draws:
+        raise ConfigError(f"compare.stride {stride} exceeds the {draws} "
+                          "draws each chain keeps")
     for stat in stats:
         diagnostics.check_statistic(stat, measure.n)
 

@@ -99,6 +99,8 @@ def psrf_curve(series, stride=None):
     exactly and gets the same 1.0 / inf sentinels.
     """
     x = np.asarray(series, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("series must be an (m, n) array")
     m, n = x.shape
     if m < 2:
         raise ValueError("need at least 2 chains")

@@ -363,8 +363,8 @@ class _CachedDppOracle(MeasureOracle):
 
     Like its ratios, ``log_weight`` answers for the chain's current state,
     whatever state it is passed: it returns the cache's running log det(L_S).
-    ``move`` applies each accepted move to the cache, so a rebuild that finds
-    L_S numerically singular raises ``ArithmeticError`` there.
+    ``move`` moves the chain's state and then the cache, so a rebuild that
+    finds L_S numerically singular raises ``ArithmeticError`` there.
     """
 
     def __init__(self, measure: LEnsemble, S: ChainState):
@@ -384,13 +384,14 @@ class _CachedDppOracle(MeasureOracle):
         return self.cache.swap_ratio(s, t)
 
     def move(self, S, kind, s, t):
+        S.moved(kind, s, t)
         if kind == "add":
             self.cache.apply_add(t)
         elif kind == "delete":
             self.cache.apply_delete(s)
-        elif kind == "swap":
+        else:
             self.cache.apply_swap(s, t)
-        return super().move(S, kind, s, t)
+        return S
 
 
 class SpectralSampler:

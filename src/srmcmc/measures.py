@@ -84,29 +84,32 @@ class SubsetState:
         packed = np.packbits(self.membership, bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")
 
-    def with_added(self, t):
-        if self.membership[t]:
+    def _apply(self, kind, s, t):
+        """Check the move "add" t, "delete" s, or "swap" s for t, then flip
+        its membership bits and cardinality in place. An unknown kind or an
+        illegal move raises ``ValueError`` and changes nothing."""
+        if kind not in ("add", "delete", "swap"):
+            raise ValueError(f"unknown move kind {kind!r}")
+        m = self.membership
+        if kind != "add" and not m[s]:
+            raise ValueError(f"element {s} not in set")
+        if kind != "delete" and m[t]:
             raise ValueError(f"element {t} already in set")
-        m = self.membership.copy()
-        m[t] = True
-        return SubsetState(m)
+        if kind != "add":
+            m[s] = False
+        if kind != "delete":
+            m[t] = True
+        self.cardinality += (kind == "add") - (kind == "delete")
+        return self
+
+    def with_added(self, t):
+        return SubsetState(self.membership.copy())._apply("add", None, t)
 
     def with_deleted(self, s):
-        if not self.membership[s]:
-            raise ValueError(f"element {s} not in set")
-        m = self.membership.copy()
-        m[s] = False
-        return SubsetState(m)
+        return SubsetState(self.membership.copy())._apply("delete", s, None)
 
     def with_swapped(self, s, t):
-        if not self.membership[s]:
-            raise ValueError(f"element {s} not in set")
-        if self.membership[t]:
-            raise ValueError(f"element {t} already in set")
-        m = self.membership.copy()
-        m[s] = False
-        m[t] = True
-        return SubsetState(m)
+        return SubsetState(self.membership.copy())._apply("swap", s, t)
 
     def __eq__(self, other):
         return isinstance(other, SubsetState) and np.array_equal(
@@ -123,9 +126,9 @@ class ChainState(SubsetState):
     Besides the membership vector and the cardinality it keeps ``members``
     and ``others``, the elements in and out of the set as ascending lists,
     in the order ``indices()`` lists them, and ``accepted_moves``, the
-    number of moves applied to it. ``moved`` changes all of them in place
-    and returns the state itself: it flips the membership bits and keeps
-    both lists sorted by bisection, without a copy of the state.
+    number of moves applied to it. ``moved`` changes all of them in place,
+    without a copy: ``_apply`` checks the move and flips its bits, and
+    ``moved`` keeps both lists sorted by bisection.
     """
 
     __slots__ = ("members", "others", "accepted_moves")
@@ -137,26 +140,17 @@ class ChainState(SubsetState):
         self.accepted_moves = 0
 
     def moved(self, kind, s, t):
-        """Apply the move "add" t, "delete" s, or "swap" s for t to this
-        state and return it. An unknown kind or an illegal move raises
-        ``ValueError`` and changes nothing."""
-        if kind not in ("add", "delete", "swap"):
-            raise ValueError(f"unknown move kind {kind!r}")
-        m = self.membership
-        if kind != "add" and not m[s]:
-            raise ValueError(f"element {s} not in set")
-        if kind != "delete" and m[t]:
-            raise ValueError(f"element {t} already in set")
+        """``_apply`` the move "add" t, "delete" s, or "swap" s for t, keep
+        both lists sorted and return this state; a refused move changes
+        nothing."""
+        self._apply(kind, s, t)
         members, others = self.members, self.others
         if kind != "add":
-            m[s] = False
             del members[bisect_left(members, s)]
             insort(others, s)
         if kind != "delete":
-            m[t] = True
             del others[bisect_left(others, t)]
             insort(members, t)
-        self.cardinality = len(members)
         self.accepted_moves += 1
         return self
 
@@ -180,7 +174,8 @@ class MeasureOracle:
 
     def move(self, S: ChainState, kind, s, t) -> ChainState:
         """Apply an accepted move to the chain's state S in place and return
-        it: "add" t, "delete" s, or "swap" s for t (``S.moved``)."""
+        it: "add" t, "delete" s, or "swap" s for t. ``S.moved`` checks and
+        applies it first; an oracle with its own state then updates that."""
         return S.moved(kind, s, t)
 
     def singleton_log_weights(self) -> np.ndarray:

@@ -189,6 +189,17 @@ class TestRunChain:
         with pytest.raises(ValueError, match="no draw would be retained"):
             ChainSpec("projection", steps=steps, thin=thin)
 
+    @pytest.mark.parametrize("fields, word", [
+        ({"kind": "gibbs"}, "unknown chain kind"),
+        ({"steps": -1}, "steps must be >= 0"),
+        ({"burn_in": -1}, "burn_in must be >= 0"),
+        ({"thin": 0}, "thin >= 1"),
+        ({"init": "empty"}, "unknown init strategy"),
+    ], ids=["kind", "steps", "burn-in", "thin", "init"])
+    def test_spec_refusals(self, fields, word):
+        with pytest.raises(ValueError, match=word):
+            ChainSpec(**{"kind": "projection", "steps": 10, **fields})
+
     def test_spec_keeps_steps_0_and_steps_equal_to_thin(self):
         m = ProductMeasure([0.5] * 3)
         for steps, records in ((0, 1), (10, 1), (25, 2)):
@@ -508,6 +519,27 @@ class TestChainState:
         assert (self._fields(state)[1:], oracle.log_weight(state)) == before
         # The oracle's own state is untouched too, so a legal move after
         # the refused one still weighs the right set.
+        oracle.move(state, "swap", 3, 4)
+        assert oracle.log_weight(state) == pytest.approx(
+            measure.log_weight(S([1, 4, 6], 8)), rel=1e-9)
+
+    @pytest.mark.parametrize("name", list(RECORDED_MEASURES))
+    @pytest.mark.parametrize("kind, s, t", [
+        ("add", None, 3), ("delete", 2, None), ("swap", 2, 4),
+        ("swap", 1, 3),
+    ], ids=["add-member", "delete-other", "swap-other-out",
+            "swap-member-in"])
+    def test_oracle_refuses_illegal_move(self, name, kind, s, t):
+        # The chain state checks every move before an oracle updates its
+        # own state, so each oracle refuses an illegal one the same way.
+        measure = RECORDED_MEASURES[name](8)
+        state = ChainState(S([1, 3, 6], 8).membership)
+        oracle = measure.chain_oracle(state)
+        before = self._fields(state)[1:], oracle.log_weight(state)
+        with pytest.raises(ValueError, match="in set"):
+            oracle.move(state, kind, s, t)
+        assert (self._fields(state)[1:], oracle.log_weight(state)) == before
+        assert state == S([1, 3, 6], 8)
         oracle.move(state, "swap", 3, 4)
         assert oracle.log_weight(state) == pytest.approx(
             measure.log_weight(S([1, 4, 6], 8)), rel=1e-9)

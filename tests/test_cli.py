@@ -181,6 +181,16 @@ class TestKernelCsv:
         with pytest.raises(ValueError, match="square"):
             load_kernel_csv(path)
 
+    def test_blank_line_between_rows_loads(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("2.0,0.0\n\n0.0,3.0\n")
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "dpp-L", "kernel_path": str(path)}})
+        out = tmp_path / "out"
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "exact_report.json").read_text())
+        assert report["marginals"] == pytest.approx([2 / 3, 3 / 4])
+
 
 class TestExact:
     def test_diag_dpp_report(self, tmp_path):
@@ -280,6 +290,21 @@ class TestCheck:
         assert main(["check", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 0
 
+    def test_lumping_failure_is_reported(self, tmp_path, monkeypatch):
+        # Below every row spread, the lumping check refuses each fixture.
+        monkeypatch.setattr(exact, "LUMP_TOL", -1.0)
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.3, 0.8, 0.5]},
+            "eps": [0.05],
+        })
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+        report = json.loads((out / "check_report.json").read_text())
+        [entry] = report["fixtures"]
+        assert entry["lumping_ok"] is False
+        assert "lumpability violated" in entry["lumping_error"]
+        assert entry["stationary"] and report["pass"] is False
+
 
 class TestBound:
     def test_uniform_singleton_value(self, tmp_path):
@@ -357,6 +382,29 @@ class TestBound:
         assert hashlib.sha256(data).hexdigest() == digest
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5 and lines[-1].startswith("projection-chain")
+
+    def test_zero_probability_start_exits_2(self, tmp_path, capsys):
+        # q_0 = 1, so every set without element 0 has weight 0.
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [1.0, 0.5]},
+            "bound": {"S0": []}})
+        out = tmp_path / "out"
+        assert main(["bound", "--config", cfg, "--out", str(out)]) == 2
+        assert "start set has zero probability" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_1_warns_of_a_degenerate_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "measure": {"kind": "product", "q": [0.5, 0.5]},
+            "bound": {"S0": [0], "eps": 1}})
+        out = tmp_path / "out"
+        assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        assert "eps = 1 makes the bound degenerate" in \
+            capsys.readouterr().err
+        report = json.loads((out / "bound.json").read_text())
+        assert report["eps"] == 1.0
+        assert report["theorem_bound"] == pytest.approx(
+            chains.theorem_bound(2, 1, math.log(0.25), 1.0))
 
     @pytest.mark.parametrize("where", ["top", "bound"])
     @pytest.mark.parametrize("eps", [[0.05], "0.05", True])
@@ -582,6 +630,35 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
     ("exact", {"measure": {"kind": "dpp-L",
                            "spectrum_step": {**STEP_4, "lo": math.nan}}},
      "hi and lo must be positive and finite"),
+    ("compare", {"measure": PRODUCT_2,
+                 "chain": {"steps": 20, "thin": 10, "chains": 2},
+                 "compare": {"stride": 5}},
+     "compare.stride 5 exceeds the 2 draws"),
+    ("sample", {"chain": {"steps": 5}}, "measure is required"),
+    ("exact", {}, "measure is required"),
+    ("bound", {"bound": {"S0": [0]}}, "measure is required"),
+    ("compare", {"chain": {"steps": 20, "chains": 2}},
+     "measure is required"),
+    ("exact", {"measure": {"kind": "product"}}, "measure.q is required"),
+    ("exact", {"measure": {"kind": "table"}}, "measure.weights is required"),
+    ("exact", {"measure": {"kind": "product-k", "q": [0.5, 0.5]}},
+     "measure.k is required"),
+    ("exact", {"measure": {"kind": "dpp-L", "rbf": {"bandwidth": 0.5}}},
+     "rbf.points_path is required"),
+    ("exact", {"measure": {"kind": "dpp-L", "spectrum_step": {
+        key: v for key, v in STEP_4.items() if key != "N"}}},
+     "spectrum_step.N is required"),
+    ("sample", {"measure": PRODUCT_1, "chain": {}}, "chain.steps is required"),
+    ("exact", {"measure": {"kind": "poisson"}}, "measure.kind must be one of"),
+    ("exact", {"measure": {"kind": "dpp-L"}}, "exactly one of"),
+    ("exact", {"measure": {"kind": "dpp-K", "preset": "fig1b-like"}},
+     "synthetic kernels are L-ensembles"),
+    ("exact", {"measure": {"kind": "dpp-L", "preset": "fig9"}},
+     "unknown preset 'fig9'"),
+    ("check", {"measure": {"kind": "product", "q": [0.5] * 9}},
+     "check needs N <= 8, got N = 9"),
+    ("exact", {"measure": {"kind": "dpp-L", "kernel_path": os.devnull}},
+     "empty kernel file"),
 ], ids=["check-eps", "bound-eps", "exact-too-large", "chain-not-object",
         "bound-not-object", "steps-null", "chains-null", "init-set-int",
         "rbf-not-object", "statistics-int", "S0-int", "S0-bool", "S0-repeat",
@@ -595,7 +672,13 @@ STEP_4 = {"N": 4, "k": 2, "hi": 5.0, "lo": 0.1}
         "check-product-n0", "check-table-n0", "chains-negative",
         "statistic-bool", "kernel-path-directory", "sample-steps-below-thin",
         "compare-one-draw", "log-pi-above-0", "product-with-k",
-        "dpp-L-with-k", "spectrum-hi-inf", "spectrum-lo-nan"])
+        "dpp-L-with-k", "spectrum-hi-inf", "spectrum-lo-nan",
+        "stride-above-draws", "sample-no-measure", "exact-no-measure",
+        "bound-no-measure", "compare-no-measure", "product-no-q",
+        "table-no-weights", "product-k-no-k", "rbf-no-points-path",
+        "spectrum-no-N", "chain-no-steps", "unknown-measure-kind",
+        "dpp-L-no-source", "dpp-K-preset", "unknown-preset", "check-n9",
+        "kernel-csv-empty"])
 def test_rejected_config_exits_1_and_writes_nothing(tmp_path, capsys,
                                                     command, cfg, word):
     out = tmp_path / "o"

@@ -149,6 +149,14 @@ class TestIterationsToThreshold:
                 with pytest.raises(ValueError, match="threshold"):
                     first_crossing(points, threshold=threshold)
 
+    @pytest.mark.parametrize("series, word", [
+        (np.zeros(5), "series must be an"),
+        (np.zeros((1, 5)), "at least 2 chains"),
+    ], ids=["1-d", "one-chain"])
+    def test_curve_shape_validation(self, series, word):
+        with pytest.raises(ValueError, match=word):
+            psrf_curve(series)
+
     def test_curve_prefixes_are_strided(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 1000))

@@ -172,6 +172,17 @@ class TestCholeskyCache:
             cache.apply_add(3)
         assert cache.flagged and cache.log_det == NEG_INF
 
+    def test_small_add_pivot_rebuilds(self):
+        # A pivot in (0, PIVOT_TOL) is not used for the bordered update; the
+        # cache factors L_S again and carries on, unflagged.
+        cache = CholeskyCache(np.diag([1.0, 1e-13]), [0])
+        assert 0.0 < cache.add_ratio(1) < CholeskyCache.PIVOT_TOL
+        cache.apply_add(1)
+        # A rebuild restarts the count of updates since the last one.
+        assert not cache.flagged and cache._accepted == 0
+        assert cache.order.tolist() == [0, 1]
+        assert cache.log_det == pytest.approx(math.log(1e-13), rel=1e-12)
+
     def test_long_random_walk_drift(self):
         rng = np.random.default_rng(9)
         n = 40

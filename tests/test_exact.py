@@ -60,6 +60,12 @@ class TestEnumeration:
         dist = enumerate_distribution(ProductMeasure(q))
         assert np.allclose(exact_marginals(dist), q, atol=1e-12)
 
+    def test_zero_measure_refused(self):
+        # q = 1 gives the empty set, the one set on the k = 0 shell, weight 0.
+        m = CardinalityConditionedMeasure(ProductMeasure([1.0, 1.0]), 0)
+        with pytest.raises(ValueError, match="zero weight to every subset"):
+            enumerate_distribution(m)
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             enumerate_distribution(ProductMeasure([0.5] * 21))

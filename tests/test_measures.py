@@ -241,6 +241,29 @@ def test_subset_state_basics():
         S([5], 5)
 
 
+@pytest.mark.parametrize("move, args, word", [
+    ("with_added", (3,), "element 3 already in set"),
+    ("with_deleted", (0,), "element 0 not in set"),
+    ("with_swapped", (0, 4), "element 0 not in set"),
+    ("with_swapped", (1, 3), "element 3 already in set"),
+])
+def test_subset_state_copies_refuse_illegal_moves(move, args, word):
+    st = S([1, 3], 5)
+    with pytest.raises(ValueError, match=word):
+        getattr(st, move)(*args)
+    assert list(st.indices()) == [1, 3] and st.cardinality == 2
+
+
+def test_subset_state_copies_leave_the_original():
+    st = S([1, 3], 5)
+    for moved, want in ((st.with_added(0), [0, 1, 3]),
+                        (st.with_deleted(3), [1]),
+                        (st.with_swapped(1, 4), [3, 4])):
+        assert list(moved.indices()) == want
+        assert moved.cardinality == len(want)
+    assert list(st.indices()) == [1, 3] and st.cardinality == 2
+
+
 def loop_membership(mask, n):
     """Bit i of mask is element i: the element-by-element definition."""
     m = np.zeros(n, dtype=bool)
